@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 # 2019 SI defining constants (h, c, k_B exact; hbar = h / 2 pi so that
 # photon-energy ratios stay consistent to machine precision).
@@ -54,6 +53,8 @@ class ThermoState:
             raise DomainError(f"temperature must be > 0, got {self.temperature}")
         if not self.volume > 0.0:
             raise DomainError(f"volume must be > 0, got {self.volume}")
+        if math.isinf(self.temperature) or math.isinf(self.volume):
+            raise DomainError(f"temperature and volume must be finite, got {self.temperature}, {self.volume}")
         if not 0.0 <= self.fugacity <= 1.0:
             raise DomainError(f"fugacity must lie in [0, 1], got {self.fugacity}")
 
@@ -217,6 +218,8 @@ def bose_quadrature(n: int, upper: float = 40.0) -> float:
     as sum_k Gamma(n+1, k*upper) / k**(n+1) via e**(-kx) expansion of the
     Bose factor.
     """
+    from scipy.integrate import quad  # an oracle: keeps scipy out of `import cyclegas`
+
     if n < 1:
         raise DomainError(f"integrand x**n/(e**x - 1) requires n >= 1, got {n}")
 
@@ -246,18 +249,11 @@ def bose_quadrature(n: int, upper: float = 40.0) -> float:
 def bose_integral(n: int) -> float:
     """Integral of x**n / (e**x - 1) over [0, inf), n a positive integer.
 
-    Evaluated two independent ways, by adaptive quadrature with an analytic
-    exponential tail and as Gamma(n+1) * zeta(n+1); the two must agree to
-    1e-10 relative, and the closed form is returned.
+    Evaluated in closed form as Gamma(n+1) * zeta(n+1).  bose_quadrature is
+    the independent route; Tier-1 and `cyclegas verify` check that the two
+    agree.
     """
     if int(n) != n or n < 1:
         raise DomainError(f"bose_integral requires an integer n >= 1, got {n}")
     n = int(n)
-    closed = math.factorial(n) * riemann_zeta(n + 1)
-    numeric = bose_quadrature(n)
-    if abs(numeric - closed) > 1e-10 * closed:
-        raise ConvergenceError(
-            f"bose_integral({n}): quadrature {numeric!r} disagrees with "
-            f"Gamma(n+1)*zeta(n+1) = {closed!r}"
-        )
-    return closed
+    return math.factorial(n) * riemann_zeta(n + 1)

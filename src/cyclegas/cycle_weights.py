@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import ConvergenceError, DomainError, ThermoState
 
@@ -76,11 +75,20 @@ def _check_cycle_size(s):
     return int(s)
 
 
+def _photon_cycle_term(temperature, volume=1.0, s=1.0, power=0.0):
+    """V (2/pi^2) T^3 / s**power, the one place the photon cycle weight is written.
+
+    power 3 gives V f_s, power 4 the mean number V f_s / s of s-cycles, and
+    the defaults give the prefactor V (2/pi^2) T^3 that multiplies sums of
+    s**(-power).  s may be an array.
+    """
+    return volume * TWO_OVER_PI_SQUARED * temperature**3 / s**power
+
+
 def photon_cycle_weight(state: ThermoState, s: int) -> CycleWeight:
     """Closed-form photon cycle weight (2/pi^2) * T^3 / s^3."""
     s = _check_cycle_size(s)
-    value = TWO_OVER_PI_SQUARED * state.temperature**3 / s**3
-    return CycleWeight(s=s, value=value)
+    return CycleWeight(s=s, value=_photon_cycle_term(state.temperature, s=s, power=3))
 
 
 def matter_cycle_weight(state: ThermoState, mass: float, s: int) -> CycleWeight:
@@ -94,6 +102,8 @@ def matter_cycle_weight(state: ThermoState, mass: float, s: int) -> CycleWeight:
 
 def _exp_moment(power: float) -> float:
     """Integral of u**power * e**(-u) over [0, inf) to 1e-9 relative."""
+    from scipy.integrate import quad  # an oracle: keeps scipy out of `import cyclegas`
+
     value, abserr = quad(
         lambda u: u**power * math.exp(-u), 0.0, np.inf, epsabs=0.0, epsrel=1e-11
     )

@@ -22,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import DomainError, ThermoState, bose_quadrature, riemann_zeta
-from .cycle_weights import TWO_OVER_PI_SQUARED
+from .cycle_weights import _photon_cycle_term
 from .partition import log_grand_partition_integral, tail_bracket
 
 
@@ -81,7 +83,7 @@ def photon_number_density(state: ThermoState) -> float:
     """Average photon density (2/pi^2) * T^3 * zeta(3)."""
     if state.fugacity != 1.0:
         raise DomainError("photon gas requires fugacity = 1")
-    return TWO_OVER_PI_SQUARED * state.temperature**3 * riemann_zeta(3.0)
+    return _photon_cycle_term(state.temperature) * riemann_zeta(3.0)
 
 
 def photon_number_density_cycle_sum(state: ThermoState, s_max: int = 10**4) -> float:
@@ -98,7 +100,7 @@ def photon_number_density_cycle_sum(state: ThermoState, s_max: int = 10**4) -> f
         total += 1.0 / float(s) ** 3
     lo, hi = tail_bracket(s_max, 3.0)
     total += 0.5 * (lo + hi)
-    return TWO_OVER_PI_SQUARED * state.temperature**3 * total
+    return _photon_cycle_term(state.temperature) * total
 
 
 def coherence_volume_photon_count(state: ThermoState) -> float:
@@ -120,8 +122,9 @@ def energy_variance(state: ThermoState, s_max: int = 100) -> FluctuationReport:
     log_z = log_grand_partition_integral(state)
     variance = 12.0 * t**2 * log_z
     mean = 3.0 * t * log_z
-    prefactor = 12.0 * t**2 * state.volume * TWO_OVER_PI_SQUARED * t**3
-    per_cycle = {s: prefactor / float(s) ** 4 for s in range(1, s_max + 1)}
+    s = np.arange(1, s_max + 1, dtype=float)
+    shares = 12.0 * t**2 * _photon_cycle_term(t, state.volume, s, 4)
+    per_cycle = dict(enumerate(shares.tolist(), start=1))
     return FluctuationReport(
         mean_energy=mean,
         variance=variance,
@@ -179,9 +182,9 @@ def planck_spectral_density(state: ThermoState, nu: float) -> float:
 def spectral_energy_density_integral(state: ThermoState) -> float:
     """Energy density from quadrature of the Planck spectrum over all nu.
 
-    Uses the same quadrature engine as the Bose integrals (substituting
-    x = 2 pi nu / T gives T^4/pi^2 times the n = 3 Bose integral), so this
-    route is independent of the zeta-series closed forms.
+    Uses bose_quadrature (substituting x = 2 pi nu / T gives T^4/pi^2 times
+    the n = 3 Bose integral), so this route is independent of the
+    zeta-series closed forms.
     """
     return state.temperature**4 / math.pi**2 * bose_quadrature(3)
 

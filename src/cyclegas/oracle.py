@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConvergenceError, DomainError, SizeError
-from .partition import CycleSumSequence, cycle_types
+from .partition import ENUMERATION_LIMIT, CycleSumSequence, canonical_partition_enumerated
 
 OCCUPATION_VECTOR_LIMIT = 10**7
-PERMUTATION_SUM_LIMIT = 25
 EXPANSION_LIMIT = 10**7
 
 
@@ -186,23 +185,9 @@ def canonical_by_permutations(spectrum: ModeSpectrum, N: int, beta: float) -> fl
     Each integer partition {xi_s} of N contributes
     prod_s C_s**xi_s / (xi_s! * s**xi_s) with C_s = sum_j g_j e^{-beta e_j s};
     the prefactor is the count of permutations of that cycle type divided
-    by N!.
+    by N!.  The sum is partition.canonical_partition_enumerated, which
+    raises SizeError above N = 25.
     """
-    if N < 0 or int(N) != N:
-        raise DomainError(f"particle number must be an integer >= 0, got {N}")
-    N = int(N)
-    if N > PERMUTATION_SUM_LIMIT:
-        raise SizeError(f"cycle-type sum is limited to N <= {PERMUTATION_SUM_LIMIT}")
-    if N == 0:
-        return 1.0
-    e = spectrum.energies
-    g = spectrum.degeneracies.astype(float)
-    s_values = np.arange(1, N + 1, dtype=float)
-    c = np.exp(-beta * np.outer(s_values, e)) @ g
-    total = 0.0
-    for ctype in cycle_types(N):
-        weight = 1.0
-        for s, xi in ctype:
-            weight *= c[s - 1] ** xi / (math.factorial(xi) * float(s) ** xi)
-        total += weight
-    return total
+    # cycle sums past the enumeration limit are never used: N that large raises
+    sums = spectrum.cycle_sums(beta, min(max(N, 1), ENUMERATION_LIMIT))
+    return canonical_partition_enumerated(sums, N)[0]

@@ -3,10 +3,9 @@ built from exchange-cycle sums.
 
 Four equivalent routes are implemented and cross-checked against each other:
 
-* integral route: log Z from the quadrature of p^3/(e^p - 1) (photon gas),
+* integral route: log Z from the integral of p^3/(e^p - 1) (photon gas),
 * cycle series:   log Z = V * sum_s f_s / s with a certified tail bracket,
-* product form:   Z = prod_s exp(V f_s / s), each factor summed as an
-                  explicit exponential series,
+* product form:   Z = prod_s exp(V f_s / s), one factor per cycle size,
 * canonical form: Z_N as a sum over all cycle distributions {xi_s} with
                   sum_s s*xi_s = N, evaluated both by exact enumeration of
                   integer partitions and by the standard recursion
@@ -15,6 +14,9 @@ Four equivalent routes are implemented and cross-checked against each other:
 Substituting the matter-wave weight with fugacity z^s into the cycle series
 reproduces the familiar Bose-Einstein momentum integrals; both sides of that
 identity are exposed so tests can drive them independently.
+
+Each production call computes its answer once, by its closed form; the
+independent routes are compared in Tier-1 and by `cyclegas verify`.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln as scipy_gammaln
 
 from .core import ConvergenceError, DomainError, SizeError, ThermoState, bose_integral, polylog
-from .cycle_weights import TWO_OVER_PI_SQUARED
+from .cycle_weights import _photon_cycle_term
 
 ENUMERATION_LIMIT = 25  # p(25) = 1958 cycle types, factorials < 2**128
 
@@ -82,8 +83,7 @@ class CycleSumSequence:
     @classmethod
     def from_photon_gas(cls, state: ThermoState, s_max: int) -> "CycleSumSequence":
         s = np.arange(1, s_max + 1, dtype=float)
-        f_s = TWO_OVER_PI_SQUARED * state.temperature**3 / s**3
-        return cls(values=state.volume * f_s)
+        return cls(values=_photon_cycle_term(state.temperature, state.volume, s, 3))
 
     @classmethod
     def from_spectrum(cls, energies, degeneracies, beta: float, s_max: int) -> "CycleSumSequence":
@@ -144,51 +144,22 @@ def log_grand_partition_cycle_series(
     if include_tail:
         lo, hi = tail_bracket(s_max, 4.0)
         total += 0.5 * (lo + hi)
-    return state.volume * (TWO_OVER_PI_SQUARED * state.temperature**3 * total)
-
-
-def _checked_factor_log(lam: float) -> float:
-    """Validate the inner sum over xi of lam**xi / xi! against exp(lam).
-
-    For moderate lam the series is summed explicitly to a 1e-14 term
-    tolerance; for lam too large for linear-space floats the same identity
-    is checked in scaled form (the Poisson weights lam**xi e^-lam / xi!
-    must carry total mass 1).  Returns log of the factor, i.e. lam itself.
-    """
-    if lam <= 700.0:
-        term = 1.0
-        factor = 1.0
-        k = 1
-        while term > 1e-14 * factor:
-            term *= lam / k
-            factor += term
-            k += 1
-        if abs(factor - math.exp(lam)) > 1e-12 * math.exp(lam):
-            raise ConvergenceError(f"exponential series self-check failed at lam = {lam}")
-    else:
-        half_width = int(12.0 * math.sqrt(lam)) + 1
-        xi = np.arange(max(int(lam) - half_width, 0), int(lam) + half_width)
-        mass = float(np.sum(np.exp(xi * math.log(lam) - lam - scipy_gammaln(xi + 1.0))))
-        if abs(mass - 1.0) > 1e-9:
-            raise ConvergenceError(f"scaled series self-check failed at lam = {lam}")
-    return lam
+    return _photon_cycle_term(state.temperature, state.volume) * total
 
 
 def log_grand_partition_product_form(state: ThermoState, s_max: int) -> np.ndarray:
     """Running log of the partial products of Z = prod_s exp(V f_s / s).
 
-    Each factor's exponential-series identity is self-checked (see
-    _checked_factor_log); the running sums increase monotonically toward
-    the cycle-series log Z and remain finite for any system size.
+    Factor s is exp(lambda_s) with lambda_s = V f_s / s, so the running log
+    is the running sum of lambda_s; it increases monotonically toward the
+    cycle-series log Z.  The exponential-series identity behind each factor,
+    sum_xi lambda**xi / xi! = exp(lambda), is checked in Tier-1.
     """
     _require_photon_fugacity(state)
     if s_max < 1:
         raise DomainError(f"s_max must be >= 1, got {s_max}")
-    per_volume = TWO_OVER_PI_SQUARED * state.temperature**3
-    logs = np.empty(s_max)
-    for s in range(1, s_max + 1):
-        logs[s - 1] = _checked_factor_log(state.volume * per_volume / s**4)
-    return np.cumsum(logs)
+    s = np.arange(1, s_max + 1, dtype=float)
+    return np.cumsum(_photon_cycle_term(state.temperature, state.volume, s, 4))
 
 
 def grand_partition_product_form(state: ThermoState, s_max: int) -> np.ndarray:
@@ -226,6 +197,22 @@ def canonical_partition_recursive(C: CycleSumSequence, N: int) -> float:
     return canonical_partition_table(C, N)[N]
 
 
+def _canonical_recursion(C: CycleSumSequence):
+    """Yield Z_1, Z_2, ..., Z_{s_max} from Z_0 = 1, Z_n = (1/n) sum_{k=1..n} C_k Z_{n-k}.
+
+    Each Z_n is computed as soon as it is asked for, so a caller that stops
+    early pays only for the terms it used.
+    """
+    c = C.values.tolist()
+    Z = [1.0]
+    for n in range(1, len(c) + 1):
+        acc = 0.0
+        for c_k, z_rest in zip(c, reversed(Z)):  # C_k Z_{n-k} for k = 1..n
+            acc += c_k * z_rest
+        Z.append(acc / n)
+        yield Z[n]
+
+
 def canonical_partition_table(C: CycleSumSequence, N: int) -> np.ndarray:
     """Array of Z_0, Z_1, ..., Z_N from the cycle-sum recursion."""
     if N < 0 or int(N) != N:
@@ -233,14 +220,7 @@ def canonical_partition_table(C: CycleSumSequence, N: int) -> np.ndarray:
     N = int(N)
     if N > 0 and C.s_max < N:
         raise DomainError(f"need cycle sums up to s = {N}, have s_max = {C.s_max}")
-    Z = np.empty(N + 1)
-    Z[0] = 1.0
-    for n in range(1, N + 1):
-        acc = 0.0
-        for k in range(1, n + 1):
-            acc += C[k] * Z[n - k]
-        Z[n] = acc / n
-    return Z
+    return np.array([1.0, *islice(_canonical_recursion(C), N)])
 
 
 def canonical_partition_enumerated(C: CycleSumSequence, N: int):
@@ -292,16 +272,11 @@ def grand_partition_from_canonical(
     """
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"fugacity must lie in [0, 1], got {z}")
-    Z = [1.0]
     total = 1.0
     z_power = 1.0
-    for n in range(1, C.s_max + 1):
-        acc = 0.0
-        for k in range(1, n + 1):
-            acc += C[k] * Z[n - k]
-        Z.append(acc / n)
+    for n, z_n in enumerate(_canonical_recursion(C), start=1):
         z_power *= z
-        term = z_power * Z[n]
+        term = z_power * z_n
         total += term
         if n >= 8 and term < rel_cutoff * total:
             return total
@@ -328,6 +303,8 @@ def bose_number_density_integral(state: ThermoState, mass: float) -> float:
     Integrates 4 pi p^2 dp/(2 pi)^3 * z e^{-beta p^2/2m} / (1 - z e^{-beta
     p^2/2m}) by adaptive quadrature after substituting u = p sqrt(beta/2m).
     """
+    from scipy.integrate import quad  # an oracle: keeps scipy out of `import cyclegas`
+
     if not mass > 0.0:
         raise DomainError(f"mass must be > 0, got {mass}")
     z = state.fugacity

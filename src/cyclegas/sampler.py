@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, ThermoState
-from .cycle_weights import TWO_OVER_PI_SQUARED
+from .cycle_weights import _photon_cycle_term
 from .partition import CycleDistribution, tail_bracket
 
 _UINT64_MASK = (1 << 64) - 1
@@ -42,6 +42,12 @@ class SampleConfig:
             raise DomainError(f"s_max must be >= 1, got {self.s_max}")
         if not 0 <= self.replicas < 2**32 or self.s_max >= 2**32:
             raise DomainError("replicas and s_max must fit in 32 bits")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if self.state.fugacity != 1.0:
+            raise DomainError(
+                f"the photon gas is sampled at fugacity 1, got {self.state.fugacity}"
+            )
 
 
 @dataclass(frozen=True)
@@ -96,9 +102,8 @@ def stream(seed: int, replica: int, s: int) -> np.random.Generator:
 
 def cycle_mean_counts(config: SampleConfig) -> np.ndarray:
     """lambda_s = V * f_s / s for s = 1..s_max."""
-    state = config.state
     s = np.arange(1, config.s_max + 1, dtype=float)
-    return state.volume * TWO_OVER_PI_SQUARED * state.temperature**3 / s**4
+    return _photon_cycle_term(config.state.temperature, config.state.volume, s, 4)
 
 
 def sample_cycle_configuration(config: SampleConfig, replica: int = 0) -> CycleDistribution:
@@ -177,7 +182,7 @@ def estimate_observables(config: SampleConfig) -> SampleReport:
 
     # mass of the discarded tail sum_{s > s_max} V f_s / s, bracket midpoint
     lo, hi = tail_bracket(config.s_max, 4.0)
-    tail = state.volume * TWO_OVER_PI_SQUARED * state.temperature**3 * 0.5 * (lo + hi)
+    tail = _photon_cycle_term(state.temperature, state.volume) * (0.5 * (lo + hi))
 
     estimates = {
         "total_energy": {"mean": mean_e, "se": se_e},

@@ -1,9 +1,10 @@
 import json
 import math
+import sys
 
 import pytest
 
-from cyclegas import cli
+from cyclegas import cli, core
 from cyclegas.core import HBAR_SI, KB_SI, C_SI, ThermoState
 from cyclegas.observables import photon_number_density
 
@@ -182,6 +183,12 @@ class TestSampleCommand:
         assert code == 0
         assert out.startswith("s,photon_count\n")
 
+    @pytest.mark.parametrize("flags", [["--fugacity", "0.5"], ["--seed", "-1"]])
+    def test_rejected_config_is_a_usage_error(self, capsys, flags):
+        code, out, err = run(capsys, ["sample", "--replicas", "2", "--s-max", "5", *flags])
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR 2:")
+
 
 class TestVerifyCommand:
     def test_clean_build_passes(self, capsys):
@@ -190,6 +197,18 @@ class TestVerifyCommand:
         lines = out.strip().split("\n")
         assert all(line.startswith("PASS") for line in lines)
         assert lines[-1].startswith("PASS  overall")
+
+    def test_zeta_check_catches_a_perturbed_zeta(self, capsys, monkeypatch):
+        name = "zeta equals Bose quadrature / (r-1)!"
+        _, out, _ = run(capsys, ["verify"])
+        assert any(line.startswith(f"PASS  {name}") for line in out.splitlines())
+        original = core.riemann_zeta
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "cyclegas"]:
+            if getattr(module, "riemann_zeta", None) is original:
+                monkeypatch.setattr(module, "riemann_zeta", lambda r: original(r) * (1.0 + 1e-9))
+        code, out, err = run(capsys, ["verify"])
+        assert code == 1 and err.startswith("ERROR 1:")
+        assert any(line.startswith(f"FAIL  {name}") for line in out.splitlines())
 
 
 class TestOutputHandling:

@@ -111,6 +111,9 @@ class TestThermoState:
             {"temperature": 1.0, "volume": -2.0},
             {"temperature": 1.0, "fugacity": -0.1},
             {"temperature": 1.0, "fugacity": 1.1},
+            {"temperature": math.inf},
+            {"temperature": 1.0, "volume": math.inf},
+            {"temperature": math.nan},
         ],
     )
     def test_invariants(self, kwargs):

@@ -95,6 +95,34 @@ class TestProductForm:
         lo, hi = tail_bracket(50, 4.0)
         assert F1 * lo <= deficit <= F1 * hi
 
+    def test_log_form_stays_finite_at_huge_volume(self):
+        logs = log_grand_partition_product_form(ThermoState(1.0, 1e30), 50)
+        expected = 1e30 * F1 * sum(float(s) ** -4 for s in range(1, 51))
+        assert np.all(np.isfinite(logs))
+        assert rel(logs[-1], expected) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.1, 1.0, 10.0, 100.0, 700.0, 701.0, 1e3, 1e4])
+    def test_factor_is_the_exponential_series(self, lam):
+        # factor 1 is exp(lambda_1) with lambda_1 = V f_1: sum_xi lambda**xi / xi!
+        # must equal exp(lambda); past exp's range the Poisson weights
+        # lambda**xi e**-lambda / xi! must carry mass 1 instead
+        lam = log_grand_partition_product_form(ThermoState(1.0, lam / F1), 1)[0]
+        if lam <= 700.0:
+            term = factor = 1.0
+            k = 1
+            while term > 1e-14 * factor:
+                term *= lam / k
+                factor += term
+                k += 1
+            assert rel(factor, math.exp(lam)) <= 1e-12
+        else:
+            half_width = int(12.0 * math.sqrt(lam)) + 1
+            mass = sum(
+                math.exp(xi * math.log(lam) - lam - math.lgamma(xi + 1.0))
+                for xi in range(max(int(lam) - half_width, 0), int(lam) + half_width)
+            )
+            assert abs(mass - 1.0) <= 1e-9
+
 
 class TestCanonicalRecursion:
     def test_hand_enumerated_example(self):

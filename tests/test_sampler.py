@@ -206,3 +206,15 @@ class TestConfigValidation:
             SampleConfig(seed=0, replicas=0, s_max=5, state=state)
         with pytest.raises(DomainError):
             SampleConfig(seed=0, replicas=1, s_max=0, state=state)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_philox_key_range(self, seed):
+        # the key holds seed mod 2**64, so -1 and 2**64 - 1 would share a stream
+        SampleConfig(seed=2**64 - 1, replicas=1, s_max=5, state=ThermoState(1.0))
+        with pytest.raises(DomainError):
+            SampleConfig(seed=seed, replicas=1, s_max=5, state=ThermoState(1.0))
+
+    def test_photon_fugacity_must_be_one(self):
+        # the cycle means V f_s / s carry no z**s, so any other fugacity would be ignored
+        with pytest.raises(DomainError):
+            SampleConfig(seed=0, replicas=1, s_max=5, state=ThermoState(1.0, 1.0, 0.5))
