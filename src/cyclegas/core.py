@@ -54,7 +54,9 @@ class ThermoState:
         if not self.volume > 0.0:
             raise DomainError(f"volume must be > 0, got {self.volume}")
         if math.isinf(self.temperature) or math.isinf(self.volume):
-            raise DomainError(f"temperature and volume must be finite, got {self.temperature}, {self.volume}")
+            raise DomainError(
+                f"temperature and volume must be finite, got {self.temperature}, {self.volume}"
+            )
         if not 0.0 <= self.fugacity <= 1.0:
             raise DomainError(f"fugacity must lie in [0, 1], got {self.fugacity}")
 

@@ -186,7 +186,7 @@ def canonical_by_permutations(spectrum: ModeSpectrum, N: int, beta: float) -> fl
     prod_s C_s**xi_s / (xi_s! * s**xi_s) with C_s = sum_j g_j e^{-beta e_j s};
     the prefactor is the count of permutations of that cycle type divided
     by N!.  The sum is partition.canonical_partition_enumerated, which
-    raises SizeError above N = 25.
+    raises SizeError above ENUMERATION_LIMIT.
     """
     # cycle sums past the enumeration limit are never used: N that large raises
     sums = spectrum.cycle_sums(beta, min(max(N, 1), ENUMERATION_LIMIT))
