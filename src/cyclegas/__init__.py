@@ -66,7 +66,6 @@ from .sampler import (
     estimate_observables,
     histogram_loglog_slope,
     sample_cycle_configuration,
-    sample_cycle_energy,
 )
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import observables, oracle, partition, sampler
+from ._output import dumps
 from .core import (
     ConvergenceError,
     DomainError,
@@ -46,7 +47,7 @@ def _fmt(x) -> str:
 def _table_text(columns, rows, fmt) -> str:
     if fmt == "json":
         payload = {"columns": list(columns), "rows": [list(map(float, r)) for r in rows]}
-        return sampler._dumps(payload) + "\n"
+        return dumps(payload) + "\n"
     lines = [",".join(columns)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
@@ -54,7 +55,7 @@ def _table_text(columns, rows, fmt) -> str:
 
 def _mapping_text(mapping, fmt) -> str:
     if fmt == "json":
-        return sampler._dumps(mapping) + "\n"
+        return dumps(mapping) + "\n"
     lines = ["quantity,value"]
     for key, value in mapping.items():
         if isinstance(value, dict):
@@ -223,7 +224,7 @@ def cmd_fluctuations(args, units: UnitsPolicy) -> str:
     if args.format == "csv":
         rows = [(s, v) for s, v in report.per_cycle_contribution.items()]
         return _table_text(("s", "variance_contribution"), rows, "csv")
-    return sampler._dumps(payload) + "\n"
+    return dumps(payload) + "\n"
 
 
 def cmd_density(args, units: UnitsPolicy) -> str:

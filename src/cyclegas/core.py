@@ -32,7 +32,16 @@ class ConvergenceError(RuntimeError):
 
 
 class SizeError(ValueError):
-    """An exact-enumeration request exceeds its hard size limit."""
+    """A request exceeds a hard size limit (exact enumeration, sampled volume)."""
+
+
+def _require_integer(name: str, value, minimum: int) -> int:
+    """value as an int >= minimum; bools and non-integral numbers raise DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -220,10 +229,8 @@ def bose_quadrature(n: int, upper: float = 40.0) -> float:
     as sum_k Gamma(n+1, k*upper) / k**(n+1) via e**(-kx) expansion of the
     Bose factor.
     """
+    n = _require_integer("bose_quadrature order n", n, 1)
     from scipy.integrate import quad  # an oracle: keeps scipy out of `import cyclegas`
-
-    if n < 1:
-        raise DomainError(f"integrand x**n/(e**x - 1) requires n >= 1, got {n}")
 
     def integrand(x):
         if x == 0.0:

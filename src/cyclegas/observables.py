@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ThermoState, bose_quadrature, riemann_zeta
+from .core import DomainError, ThermoState, _require_integer, bose_quadrature, riemann_zeta
 from .cycle_weights import _photon_cycle_term
 from .partition import log_grand_partition_integral, tail_bracket
 
@@ -95,6 +95,7 @@ def photon_number_density_cycle_sum(state: ThermoState, s_max: int = 10**4) -> f
     """
     if state.fugacity != 1.0:
         raise DomainError("photon gas requires fugacity = 1")
+    s_max = _require_integer("s_max", s_max, 1)
     total = 0.0
     for s in range(s_max, 0, -1):  # ascending magnitude for a tighter float sum
         total += 1.0 / float(s) ** 3
@@ -118,6 +119,7 @@ def energy_variance(state: ThermoState, s_max: int = 100) -> FluctuationReport:
     per_cycle_contribution[s] = 12*T^2*V*f_s/s for s up to s_max; the
     remainder of the sum is certified by tail_bracket(s_max, 4).
     """
+    s_max = _require_integer("s_max", s_max, 1)
     t = state.temperature
     log_z = log_grand_partition_integral(state)
     variance = 12.0 * t**2 * log_z

@@ -4,14 +4,17 @@ The grand-canonical measure factorizes: the number of s-cycles is Poisson
 with mean lambda_s = V * f_s / s, independently for every s, and each cycle
 carries a momentum drawn from p^2 e^{-beta s p} dp, i.e. Gamma(shape 3,
 rate beta*s).  The cycle energy E = s*p is then Gamma(shape 3, rate beta)
-regardless of s: mean 3T, variance 3T^2, second moment 12T^2.  Sampling is
-therefore exact and rejection-free.
+regardless of s, and the energies of K independent cycles sum to one
+Gamma(shape 3K, rate beta) variable.  A replica is therefore sampled
+exactly, rejection-free and in memory independent of V, by a Poisson vector
+xi_s and a single energy draw.
 
-Randomness contract: one counter-based Philox stream per (replica, s) pair,
-keyed as (seed, replica * 2^32 + s).  Within a stream the Poisson count is
-drawn first, then 3 uniforms per cycle for the energies.  Replicas are
-independent by construction and may be evaluated in any order or in
-parallel without changing the result.
+Randomness contract: one counter-based Philox stream per replica, keyed by
+the two 64-bit words (seed, replica).  Within a stream the Poisson vector
+xi_1..xi_{s_max} is drawn first, in one call, then the replica's total
+energy E ~ Gamma(3 * sum_s xi_s, scale T) in one call (E = 0 when no cycle
+was drawn).  Replicas are independent by construction and may be
+evaluated in any order or in parallel without changing the result.
 """
 
 from __future__ import annotations
@@ -21,11 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ThermoState
+from ._output import dumps
+from .core import DomainError, SizeError, ThermoState, _require_integer
 from .cycle_weights import _photon_cycle_term
 from .partition import CycleDistribution, tail_bracket
 
-_UINT64_MASK = (1 << 64) - 1
+# Largest replicas * V * T^3 that SampleConfig accepts.  At this limit the
+# largest Poisson mean, lambda_1 = (2/pi^2) V T^3 <= 2.1e17, is far below
+# numpy's bound (about 9.2e18), and the photon count summed over all replicas,
+# of mean at most (2 zeta(3)/pi^2) * 1e18 = 2.4e17, stays 38 times below the
+# int64 limit.
+SAMPLE_SIZE_LIMIT = 1e18
 
 
 @dataclass(frozen=True)
@@ -36,17 +45,22 @@ class SampleConfig:
     state: ThermoState
 
     def __post_init__(self):
-        if self.replicas < 1:
-            raise DomainError(f"replicas must be >= 1, got {self.replicas}")
-        if self.s_max < 1:
-            raise DomainError(f"s_max must be >= 1, got {self.s_max}")
-        if not 0 <= self.replicas < 2**32 or self.s_max >= 2**32:
-            raise DomainError("replicas and s_max must fit in 32 bits")
-        if not 0 <= self.seed < 2**64:
+        # numpy integers become ints, so that the stream key is exact
+        for name, minimum in (("seed", 0), ("replicas", 1), ("s_max", 1)):
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name), minimum))
+        if self.seed >= 2**64:
             raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if self.replicas >= 2**32 or self.s_max >= 2**32:
+            raise DomainError("replicas and s_max must fit in 32 bits")
         if self.state.fugacity != 1.0:
             raise DomainError(
                 f"the photon gas is sampled at fugacity 1, got {self.state.fugacity}"
+            )
+        t = self.state.temperature
+        size = self.replicas * self.state.volume * t * t * t  # inf, not OverflowError as t**3
+        if not size <= SAMPLE_SIZE_LIMIT:
+            raise SizeError(
+                f"replicas * V * T^3 = {size:g} exceeds the sampling limit {SAMPLE_SIZE_LIMIT:g}"
             )
 
 
@@ -60,7 +74,7 @@ class SampleReport:
     config: dict
 
     def to_json(self) -> str:
-        return _dumps(
+        return dumps(
             {
                 "estimates": self.estimates,
                 "histogram": {str(s): n for s, n in self.histogram.items()},
@@ -74,30 +88,11 @@ class SampleReport:
         return "\n".join(lines) + "\n"
 
 
-def _dumps(obj) -> str:
-    """Deterministic JSON: insertion-ordered keys, floats at 9 significant digits."""
-    if isinstance(obj, dict):
-        body = ",".join(f"{_dumps(str(k))}:{_dumps(v)}" for k, v in obj.items())
-        return "{" + body + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_dumps(v) for v in obj) + "]"
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return f"{float(obj):.9g}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def stream(seed: int, replica: int, s: int) -> np.random.Generator:
-    """The Philox stream owned by one (replica, s) pair."""
-    key = np.array(
-        [seed & _UINT64_MASK, ((replica << 32) | s) & _UINT64_MASK], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+def stream(seed: int, replica: int) -> np.random.Generator:
+    """The Philox stream owned by one replica, keyed by the words (seed, replica)."""
+    if not (0 <= seed < 2**64 and 0 <= replica < 2**64):
+        raise DomainError(f"seed and replica must lie in [0, 2**64), got {seed}, {replica}")
+    return np.random.Generator(np.random.Philox(key=seed | replica << 64))
 
 
 def cycle_mean_counts(config: SampleConfig) -> np.ndarray:
@@ -106,66 +101,45 @@ def cycle_mean_counts(config: SampleConfig) -> np.ndarray:
     return _photon_cycle_term(config.state.temperature, config.state.volume, s, 4)
 
 
+def _draw_replica(config: SampleConfig, replica: int, lam: np.ndarray):
+    """(xi, E): cycle counts xi_s ~ Poisson(lam_s), then E ~ Gamma(3 sum xi, T)."""
+    rng = stream(config.seed, replica)
+    xi = rng.poisson(lam)
+    return xi, rng.gamma(3 * xi.sum(), config.state.temperature)
+
+
 def sample_cycle_configuration(config: SampleConfig, replica: int = 0) -> CycleDistribution:
-    """One grand-canonical cycle configuration: xi_s ~ Poisson(V f_s / s)."""
-    lam = cycle_mean_counts(config)
-    multiplicities = {}
-    n_total = 0
-    for s in range(1, config.s_max + 1):
-        xi = int(stream(config.seed, replica, s).poisson(lam[s - 1]))
-        if xi > 0:
-            multiplicities[s] = xi
-            n_total += s * xi
-    return CycleDistribution(multiplicities=multiplicities, n_total=n_total)
+    """The cycle configuration xi_s ~ Poisson(V f_s / s) of one replica.
 
-
-def sample_cycle_energy(s: int, state: ThermoState, rng: np.random.Generator) -> float:
-    """Energy of one s-cycle: E = -T (ln u1 + ln u2 + ln u3).
-
-    The cycle momentum p ~ Gamma(3, beta*s) and E = s*p, so E ~ Gamma(3,
-    beta) independent of s; the sum of three exponentials samples that
-    exactly and branch-free.  The per-photon energy is E/s.
+    It is the configuration behind that replica of estimate_observables(config).
     """
-    if s < 1:
-        raise DomainError(f"cycle size must be >= 1, got {s}")
-    u = rng.random(3)
-    return -state.temperature * float(np.sum(np.log(u)))
-
-
-def _cycle_energies(count: int, state: ThermoState, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized draw of `count` cycle energies from the same uniform stream."""
-    if count == 0:
-        return np.empty(0)
-    u = rng.random(3 * count).reshape(count, 3)
-    return -state.temperature * np.sum(np.log(u), axis=1)
+    _require_integer("replica", replica, 0)
+    xi, _energy = _draw_replica(config, replica, cycle_mean_counts(config))
+    multiplicities = {s: n for s, n in enumerate(xi.tolist(), start=1) if n > 0}
+    n_total = sum(s * n for s, n in multiplicities.items())
+    return CycleDistribution(multiplicities=multiplicities, n_total=n_total)
 
 
 def estimate_observables(config: SampleConfig) -> SampleReport:
     """Replica-averaged estimates of total energy, photon number, and Var(E).
 
-    Each replica draws one full cycle configuration and its energies; means
-    and standard errors come from the replica-to-replica spread (the
-    variance estimate's error uses the fourth-moment formula).  The
-    histogram counts photons, s per s-cycle, summed over replicas.
+    Each replica draws one full cycle configuration and its energy.  Means
+    and their standard errors come from the replica-to-replica spread; the
+    error of the variance estimate is the exact spread of a sample variance
+    of r compound-Poisson energies, evaluated at the sampled mean energy.
+    The histogram counts photons, s per s-cycle, summed over replicas.
     """
     state = config.state
     lam = cycle_mean_counts(config)
+    sizes = np.arange(1, config.s_max + 1)
     totals_e = np.empty(config.replicas)
     totals_n = np.empty(config.replicas, dtype=np.int64)
     photons = np.zeros(config.s_max, dtype=np.int64)
     for replica in range(config.replicas):
-        e_acc = 0.0
-        n_acc = 0
-        for s in range(1, config.s_max + 1):
-            rng = stream(config.seed, replica, s)
-            xi = int(rng.poisson(lam[s - 1]))
-            if xi == 0:
-                continue
-            e_acc += float(np.sum(_cycle_energies(xi, state, rng)))
-            n_acc += s * xi
-            photons[s - 1] += s * xi
-        totals_e[replica] = e_acc
-        totals_n[replica] = n_acc
+        xi, totals_e[replica] = _draw_replica(config, replica, lam)
+        by_size = sizes * xi
+        totals_n[replica] = by_size.sum()
+        photons += by_size
 
     r = config.replicas
     mean_e = float(np.mean(totals_e))
@@ -174,8 +148,14 @@ def estimate_observables(config: SampleConfig) -> SampleReport:
     se_n = float(np.std(totals_n, ddof=1) / math.sqrt(r)) if r > 1 else 0.0
     if r > 1:
         var_e = float(np.var(totals_e, ddof=1))
-        m4 = float(np.mean((totals_e - mean_e) ** 4))
-        se_var = math.sqrt(max(m4 - (r - 3) / (r - 1) * var_e**2, 0.0) / r)
+        # Var(var_e) = sigma^4 (2/(r-1) + kappa/r).  Poisson cycle counts with
+        # Gamma(3, T) energies give sigma^2 = 4 T <E> and excess kurtosis
+        # kappa = 7.5 T / <E> for any lambda_s.  Evaluated at mean_e, the
+        # error bar does not shrink along with a low var_e, as a plug-in of
+        # var_e and the sample fourth moment does: at 200 replicas that
+        # plug-in puts |z| > 5 about once in 10^4 estimates, not 6e-7.
+        t = state.temperature
+        se_var = t * math.sqrt(32.0 * mean_e**2 / (r - 1) + 120.0 * t * mean_e / r)
     else:
         var_e = 0.0
         se_var = 0.0

@@ -92,6 +92,12 @@ class TestBoseIntegral:
         with pytest.raises(DomainError):
             bose_integral(2.5)
 
+    @pytest.mark.parametrize("n", [0, 2.5, True])
+    def test_quadrature_domain(self, n):
+        # the order must be an integer >= 1; a bool is not taken for n = 1
+        with pytest.raises(DomainError):
+            bose_quadrature(n)
+
 
 class TestThermoState:
     def test_beta_is_exact_reciprocal(self):

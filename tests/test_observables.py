@@ -56,6 +56,11 @@ class TestPhotonDensity:
         with pytest.raises(DomainError):
             photon_number_density(ThermoState(1.0, fugacity=0.3))
 
+    @pytest.mark.parametrize("s_max", [0, -3, 2.5])
+    def test_cycle_sum_cutoff_validation(self, s_max):
+        with pytest.raises(DomainError):
+            photon_number_density_cycle_sum(T1V1, s_max=s_max)
+
 
 class TestCoherenceVolumeCount:
     def test_temperature_independent_constant(self):
@@ -94,6 +99,12 @@ class TestEnergyVariance:
         state = ThermoState(temperature, 1.5)
         report = energy_variance(state)
         assert rel(report.variance, energy_variance_finite_difference(state)) <= 1e-5
+
+    @pytest.mark.parametrize("s_max", [0, -3, 2.5])
+    def test_cutoff_validation(self, s_max):
+        # a cutoff below 1 would return an empty share table
+        with pytest.raises(DomainError):
+            energy_variance(T1V1, s_max=s_max)
 
     def test_cycle_sum_plus_tail_reconstructs_variance(self):
         s_max = 100

@@ -1,21 +1,23 @@
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from cyclegas.core import DomainError, ThermoState
+from cyclegas.core import DomainError, SizeError, ThermoState
 from cyclegas.cycle_weights import TWO_OVER_PI_SQUARED
 from cyclegas.sampler import (
+    SAMPLE_SIZE_LIMIT,
     SampleConfig,
     cycle_mean_counts,
     estimate_observables,
     histogram_loglog_slope,
     sample_cycle_configuration,
-    sample_cycle_energy,
     stream,
-    _cycle_energies,
+    _draw_replica,
 )
 
 
@@ -36,13 +38,50 @@ class TestDeterminism:
         b = estimate_observables(SampleConfig(seed=2, replicas=5, s_max=10, state=state))
         assert a.to_json() != b.to_json()
 
-    def test_streams_are_replica_and_size_specific(self):
-        assert stream(0, 0, 1).random() != stream(0, 0, 2).random()
-        assert stream(0, 0, 1).random() != stream(0, 1, 1).random()
-        assert stream(0, 3, 5).random() == stream(0, 3, 5).random()
+    def test_streams_are_replica_and_seed_specific(self):
+        # (seed, replica) are the two key words: every pair owns its own stream
+        keys = list(itertools.product((0, 1, 2**64 - 1), (0, 1, 2, 2**32 - 1)))
+        first = {key: stream(*key).bit_generator.random_raw(4).tolist() for key in keys}
+        assert len({tuple(words) for words in first.values()}) == len(keys)
+        for key in keys:
+            assert stream(*key).bit_generator.random_raw(4).tolist() == first[key]
+        # a seed past 64 bits would alias the key of another (seed, replica)
+        for key in ((2**64, 0), (-1, 0), (0, -1), (0, 2**64)):
+            with pytest.raises(DomainError):
+                stream(*key)
+
+    def test_replica_draw_follows_the_stream_contract(self):
+        # in the replica's stream: the Poisson vector in one call, then one Gamma(3K, T) energy
+        config = SampleConfig(seed=77, replicas=8, s_max=15, state=ThermoState(1.2, 40.0))
+        lam = cycle_mean_counts(config)
+        rng = stream(77, 5)
+        xi = rng.poisson(lam)
+        energy = rng.gamma(3 * xi.sum(), 1.2)
+        drawn_xi, drawn_energy = _draw_replica(config, 5, lam)
+        assert drawn_xi.tolist() == xi.tolist() and drawn_energy == energy
+
+    def test_configurations_reproduce_the_report(self):
+        # replica r of the report draws exactly the configuration sample_cycle_configuration returns
+        config = SampleConfig(seed=2024, replicas=40, s_max=12, state=ThermoState(1.0, 300.0))
+        report = estimate_observables(config)
+        histogram = {}
+        totals = []
+        for replica in range(config.replicas):
+            dist = sample_cycle_configuration(config, replica)
+            for s, xi in dist.multiplicities.items():
+                histogram[s] = histogram.get(s, 0) + s * xi
+            totals.append(dist.n_total)
+        assert histogram == report.histogram
+        assert sum(totals) / config.replicas == report.estimates["photon_number"]["mean"]
+
+    def test_numpy_integer_fields(self):
+        state = ThermoState(1.0, 50.0)
+        plain = SampleConfig(seed=2**64 - 1, replicas=3, s_max=10, state=state)
+        from_numpy = SampleConfig(seed=np.uint64(2**64 - 1), replicas=np.int64(3), s_max=np.int32(10), state=state)
+        assert estimate_observables(from_numpy).to_json() == estimate_observables(plain).to_json()
 
     def test_replica_order_independence(self):
-        # replica draws depend only on (seed, replica, s), not on history
+        # replica draws depend only on (seed, replica), not on history
         config = SampleConfig(seed=11, replicas=3, s_max=8, state=ThermoState(1.0, 30.0))
         direct = [sample_cycle_configuration(config, replica=r).multiplicities for r in (0, 1, 2)]
         reversed_order = {r: sample_cycle_configuration(config, replica=r).multiplicities for r in (2, 1, 0)}
@@ -80,44 +119,46 @@ class TestCycleConfiguration:
             assert rel(lam[s - 1] * s**4, lam[0]) <= 1e-13
 
 
+@pytest.fixture(scope="module")
+def replica_draws():
+    # about 2.2 cycles per replica, so about one replica in nine draws none
+    config = SampleConfig(seed=2718, replicas=6000, s_max=20, state=ThermoState(1.3, 4.55))
+    lam = cycle_mean_counts(config)
+    draws = [_draw_replica(config, r, lam) for r in range(config.replicas)]
+    counts = np.array([xi.sum() for xi, _energy in draws])
+    energies = np.array([energy for _xi, energy in draws])
+    return config.state.temperature, counts, energies
+
+
 class TestCycleEnergy:
-    def test_scalar_and_vector_paths_share_the_stream(self):
-        state = ThermoState(2.0)
-        scalar = [sample_cycle_energy(3, state, stream(9, 0, 3)) for _ in range(1)]
-        vector = _cycle_energies(1, state, stream(9, 0, 3))
-        assert scalar[0] == vector[0]
+    def test_energy_given_cycle_count_is_gamma(self, replica_draws):
+        # K cycles of Gamma(3, beta) energy sum to Gamma(3K, beta): the
+        # probability transform of E given K must be uniform
+        temperature, counts, energies = replica_draws
+        drawn = counts > 0
+        assert drawn.sum() >= 5000
+        u = scipy.stats.gamma.cdf(energies[drawn] / temperature, 3 * counts[drawn])
+        assert scipy.stats.kstest(u, "uniform").pvalue > 0.01
 
-    def test_gamma_moments(self):
-        state = ThermoState(1.0)
-        energies = _cycle_energies(200000, state, stream(123, 0, 1))
-        # Gamma(3, beta): mean 3T, variance 3T^2
-        assert abs(energies.mean() - 3.0) <= 5.0 * energies.std(ddof=1) / math.sqrt(energies.size)
-        var = energies.var(ddof=1)
-        se_var = var * math.sqrt(2.0 / (energies.size - 1)) * 2.0  # generous
-        assert abs(var - 3.0) <= 5.0 * se_var
+    def test_energy_is_positive_exactly_when_cycles_exist(self, replica_draws):
+        _temperature, counts, energies = replica_draws
+        assert (counts == 0).any() and (counts > 0).any()
+        assert np.all(energies[counts > 0] > 0.0)
+        assert np.all(energies[counts == 0] == 0.0)
 
-    def test_mean_energy_per_photon(self):
-        state = ThermoState(1.0)
-        energies = _cycle_energies(100000, state, stream(5, 0, 5))
-        per_photon = energies / 5.0
-        se = per_photon.std(ddof=1) / math.sqrt(per_photon.size)
-        assert abs(per_photon.mean() - 3.0 / 5.0) <= 5.0 * se
-
-    def test_s_independence_of_cycle_energy_mean(self):
-        state = ThermoState(1.0)
-        for s in (1, 2, 4, 8):
-            energies = _cycle_energies(100000, state, stream(31, 0, s))
-            se = energies.std(ddof=1) / math.sqrt(energies.size)
-            assert abs(energies.mean() - 3.0) <= 5.0 * se
-
-    def test_positive_and_seedable(self):
-        value = sample_cycle_energy(1, ThermoState(0.5), stream(0, 0, 1))
-        assert value > 0.0
-        assert value == sample_cycle_energy(1, ThermoState(0.5), stream(0, 0, 1))
-
-    def test_cycle_size_validation(self):
-        with pytest.raises(DomainError):
-            sample_cycle_energy(0, ThermoState(1.0), stream(0, 0, 1))
+    def test_huge_volume_in_constant_memory(self):
+        # one Poisson vector and one energy per replica: nothing scales with V
+        config = SampleConfig(seed=4093, replicas=200, s_max=50, state=ThermoState(1.0, 1e9))
+        tracemalloc.start()
+        try:
+            report = estimate_observables(config)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        target = 3.0 * config.state.temperature * float(np.sum(cycle_mean_counts(config)))
+        est = report.estimates["total_energy"]
+        assert abs(est["mean"] - target) <= 5.0 * est["se"]
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +189,23 @@ class TestEstimates:
         )
         est = rep.estimates["energy_variance"]
         assert abs(est["mean"] - target) <= 5.0 * est["se"]
+
+    @pytest.mark.parametrize("volume", [5.0, 500.0])
+    def test_variance_error_bar_matches_its_spread(self, volume):
+        # se of var_e, averaged over independent estimates, is the spread of
+        # var_e; at V = 5, about one cycle per replica, the kurtosis term of
+        # se is as large as the Gaussian one, at V = 500 it is 1%
+        state = ThermoState(1.0, volume)
+        estimates = [
+            estimate_observables(SampleConfig(seed=seed, replicas=30, s_max=20, state=state)).estimates
+            for seed in range(600)
+        ]
+        var = np.array([e["energy_variance"]["mean"] for e in estimates])
+        se = np.array([e["energy_variance"]["se"] for e in estimates])
+        spread = var.std(ddof=1)
+        # relative standard error of a sample standard deviation
+        tolerance = 5.0 * math.sqrt((scipy.stats.kurtosis(var) + 2.0) / (4.0 * var.size))
+        assert abs(se.mean() / spread - 1.0) <= tolerance
 
     def test_histogram_chi_square_against_expected_cycles(self, report):
         rep, state = report
@@ -213,6 +271,37 @@ class TestConfigValidation:
         SampleConfig(seed=2**64 - 1, replicas=1, s_max=5, state=ThermoState(1.0))
         with pytest.raises(DomainError):
             SampleConfig(seed=seed, replicas=1, s_max=5, state=ThermoState(1.0))
+
+    @pytest.mark.parametrize(
+        "field, value", [("seed", 1.5), ("seed", True), ("replicas", 2.5), ("replicas", 2.0), ("s_max", True)]
+    )
+    def test_integer_fields_reject_other_types(self, field, value):
+        fields = {"seed": 0, "replicas": 2, "s_max": 5, "state": ThermoState(1.0)}
+        fields[field] = value
+        with pytest.raises(DomainError):
+            SampleConfig(**fields)
+
+    def test_size_limit(self):
+        # at the limit numpy's Poisson still accepts lambda_1 and the int64
+        # photon totals over all replicas do not wrap
+        config = SampleConfig(seed=3, replicas=2, s_max=4, state=ThermoState(1.0, SAMPLE_SIZE_LIMIT / 2))
+        report = estimate_observables(config)
+        expected = config.replicas * float(np.sum(cycle_mean_counts(config) * np.arange(1, 5)))
+        assert len(report.histogram) == 4
+        assert rel(sum(report.histogram.values()), expected) <= 1e-6
+        assert rel(report.estimates["photon_number"]["mean"], expected / config.replicas) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "replicas, state",
+        [
+            (2, ThermoState(1.0, float(np.nextafter(SAMPLE_SIZE_LIMIT / 2, np.inf)))),
+            (1, ThermoState(1.0, 1e20)),
+            (1, ThermoState(1e200, 1.0)),
+        ],
+    )
+    def test_past_the_size_limit(self, replicas, state):
+        with pytest.raises(SizeError):
+            SampleConfig(seed=3, replicas=replicas, s_max=4, state=state)
 
     def test_photon_fugacity_must_be_one(self):
         # the cycle means V f_s / s carry no z**s, so any other fugacity would be ignored
