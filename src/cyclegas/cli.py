@@ -6,10 +6,10 @@ in $CYCLEGAS_OUTPUT_DIR when that is set.  In --units si all inputs are SI
 (kelvin, m^3, Hz, kg) and all outputs are SI (J, m^-3, J m^-3 Hz^-1);
 conversion happens only at this boundary.
 
-Exit codes: 0 success, 2 usage error (bad flags, invalid combinations such
-as a photon gas with fugacity below 1), 1 computational error (failed
-verification, quadrature breakdown).  Errors go to stderr with the prefix
-"ERROR <code>:".
+Exit codes: 0 success, 2 usage error (a flag the command does not read,
+or flags that do not go together, such as --mass without --dispersion
+massive), 1 computational error (failed verification, quadrature
+breakdown).  Errors go to stderr with the prefix "ERROR <code>:".
 """
 
 from __future__ import annotations
@@ -66,12 +66,12 @@ def _mapping_text(mapping, fmt) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_common(sub, default_format):
+def _add_common(sub, default_format, volume):
     sub.add_argument("--temperature", type=float, default=1.0,
                      help="temperature (energy in natural units, kelvin in SI)")
-    sub.add_argument("--volume", type=float, default=1.0,
-                     help="volume ((length)^3 natural, m^3 in SI)")
-    sub.add_argument("--fugacity", type=float, default=1.0)
+    if volume:
+        sub.add_argument("--volume", type=float,
+                         help="volume ((length)^3 natural, m^3 in SI; default 1)")
     sub.add_argument("--units", choices=("natural", "si"), default="natural")
     sub.add_argument("--format", choices=("csv", "json"), default=default_format)
     sub.add_argument("--output", default="-", help="output file, '-' for stdout")
@@ -80,8 +80,8 @@ def _add_common(sub, default_format):
 class _Parser(argparse.ArgumentParser):
     # route argparse usage errors through the "ERROR <code>:" convention
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"ERROR 2: {message}", file=sys.stderr)
+        self.print_usage(sys.stderr)
         raise SystemExit(2)
 
 
@@ -93,34 +93,34 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sub = subs.add_parser("weights", help="per-volume cycle weights f_s")
-    _add_common(sub, "csv")
+    _add_common(sub, "csv", volume=False)
     sub.add_argument("--s-max", type=int, default=10)
     sub.add_argument("--dispersion", choices=("photon", "massive"), default="photon")
     sub.add_argument("--mass", type=float, help="mass (natural energy units, kg in SI)")
 
     sub = subs.add_parser("partition", help="log Z convergence trace or discrete Z_N table")
-    _add_common(sub, "csv")
-    sub.add_argument("--s-max", type=int, default=50)
+    _add_common(sub, "csv", volume=True)
+    sub.add_argument("--s-max", type=int, help="largest cycle size of the trace (default 50)")
     sub.add_argument("--spectrum-file", help="discrete mode spectrum; switches to the Z_N table")
     sub.add_argument("--n-max", type=int, help="largest N for the Z_N table")
 
     sub = subs.add_parser("spectrum", help="Planck spectral density table")
-    _add_common(sub, "csv")
+    _add_common(sub, "csv", volume=False)
     sub.add_argument("--x-min", type=float, default=0.05, help="smallest h*nu/kT")
     sub.add_argument("--x-max", type=float, default=20.0, help="largest h*nu/kT")
     sub.add_argument("--points", type=int, default=200)
 
     sub = subs.add_parser("fluctuations", help="energy variance and its cycle decomposition")
-    _add_common(sub, "json")
+    _add_common(sub, "json", volume=True)
     sub.add_argument("--s-max", type=int, default=50)
     sub.add_argument("--nu", type=float, help="band center frequency")
     sub.add_argument("--delta-nu", type=float, help="band width")
 
     sub = subs.add_parser("density", help="photon number density and coherence-volume count")
-    _add_common(sub, "json")
+    _add_common(sub, "json", volume=False)
 
     sub = subs.add_parser("sample", help="Monte Carlo estimates with error bars")
-    _add_common(sub, "json")
+    _add_common(sub, "json", volume=True)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--replicas", type=int, default=100)
     sub.add_argument("--s-max", type=int, default=50)
@@ -133,10 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _state(args, units: UnitsPolicy) -> ThermoState:
+    # commands without --volume give per-volume results at the default volume
+    volume = getattr(args, "volume", None)
     return ThermoState(
         temperature=units.temperature_from_si(args.temperature),
-        volume=units.volume_from_si(args.volume),
-        fugacity=args.fugacity,
+        volume=units.volume_from_si(1.0 if volume is None else volume),
     )
 
 
@@ -144,10 +145,10 @@ def cmd_weights(args, units: UnitsPolicy) -> str:
     state = _state(args, units)
     if args.s_max < 1:
         raise DomainError("--s-max must be >= 1")
+    if (args.dispersion == "massive") != (args.mass is not None):
+        raise DomainError("--dispersion massive and --mass must be given together")
     rows = []
     if args.dispersion == "massive":
-        if args.mass is None:
-            raise DomainError("--dispersion massive requires --mass")
         mass = units.mass_from_si(args.mass)
         for s in range(1, args.s_max + 1):
             rows.append((s, units.number_density_to_si(matter_cycle_weight(state, mass, s).value)))
@@ -160,17 +161,20 @@ def cmd_weights(args, units: UnitsPolicy) -> str:
 def cmd_partition(args, units: UnitsPolicy) -> str:
     state = _state(args, units)
     if args.spectrum_file:
-        if args.n_max is None:
-            raise DomainError("--spectrum-file requires --n-max")
+        if args.n_max is None or args.s_max is not None or args.volume is not None:
+            raise DomainError("--spectrum-file takes --n-max, and neither --s-max nor --volume")
         spectrum = oracle.load_spectrum(args.spectrum_file)
         sums = spectrum.cycle_sums(state.beta, max(args.n_max, 1))
         table = partition.canonical_partition_table(sums, args.n_max)
         rows = [(n, table[n]) for n in range(args.n_max + 1)]
         return _table_text(("N", "Z_N"), rows, args.format)
+    if args.n_max is not None:
+        raise DomainError("--n-max requires --spectrum-file")
+    s_max = 50 if args.s_max is None else args.s_max
     log_z = partition.log_grand_partition_integral(state)
-    partial_logs = partition.log_grand_partition_product_form(state, args.s_max)
+    partial_logs = partition.log_grand_partition_product_form(state, s_max)
     rows = []
-    for s in range(1, args.s_max + 1):
+    for s in range(1, s_max + 1):
         f_s = photon_cycle_weight(state, s).value
         rows.append((s, units.number_density_to_si(f_s), partial_logs[s - 1], log_z))
     return _table_text(("s", "f_s", "log_z_partial", "log_z_integral"), rows, args.format)
@@ -253,10 +257,11 @@ def _verify_checks(seed: int):
     rng = np.random.default_rng(seed)
     checks = []
 
-    dev = max(
+    # np.max, not max: max drops a NaN deviation unless it comes first
+    dev = np.max([
         abs(riemann_zeta(r) - bose_quadrature(r - 1) / math.factorial(r - 1)) / riemann_zeta(r)
         for r in (2, 3, 4, 5)
-    )
+    ])
     checks.append(("zeta equals Bose quadrature / (r-1)!", dev <= 1e-12, f"max rel dev {dev:.2e}"))
 
     dev = 0.0
@@ -265,7 +270,7 @@ def _verify_checks(seed: int):
             state = ThermoState(t, v)
             a = partition.log_grand_partition_integral(state)
             b = partition.log_grand_partition_cycle_series(state)
-            dev = max(dev, abs(a - b) / abs(a))
+            dev = np.max([dev, abs(a - b) / abs(a)])
     checks.append(("integral vs cycle-series log Z", dev <= 1e-10, f"max rel dev {dev:.2e}"))
 
     state = ThermoState(1.0, 1.0)
@@ -284,7 +289,7 @@ def _verify_checks(seed: int):
         sums = partition.CycleSumSequence(values=values)
         rec = partition.canonical_partition_recursive(sums, 12)
         enum, _breakdown = partition.canonical_partition_enumerated(sums, 12)
-        dev = max(dev, abs(rec - enum) / abs(rec))
+        dev = np.max([dev, abs(rec - enum) / abs(rec)])
     checks.append(("recursion vs enumeration Z_N", dev <= 1e-12, f"max rel dev {dev:.2e}"))
 
     dev = 0.0
@@ -299,11 +304,11 @@ def _verify_checks(seed: int):
             occ = oracle.canonical_by_occupation(spectrum, n, beta)
             perm = oracle.canonical_by_permutations(spectrum, n, beta)
             rec = partition.canonical_partition_recursive(spectrum.cycle_sums(beta, n), n)
-            dev = max(dev, abs(occ - perm) / occ, abs(occ - rec) / occ)
+            dev = np.max([dev, abs(occ - perm) / occ, abs(occ - rec) / occ])
             z = 0.89 * math.exp(beta * float(spectrum.energies[0]))
             prod = oracle.grand_partition_product(spectrum, z, beta)
             cyc = oracle.grand_partition_cycle(spectrum, z, beta)
-            dev_grand = max(dev_grand, abs(prod - cyc) / prod)
+            dev_grand = np.max([dev_grand, abs(prod - cyc) / prod])
     checks.append(("oracle triple agreement", dev <= 1e-12, f"max rel dev {dev:.2e}"))
     checks.append(("grand product vs cycle form", dev_grand <= 1e-10, f"max rel dev {dev_grand:.2e}"))
 
@@ -312,7 +317,7 @@ def _verify_checks(seed: int):
         state = ThermoState(1.37, 1.0, z)
         a = partition.bose_number_density_cycle(state, mass=2.0 * math.pi)
         b = partition.bose_number_density_integral(state, mass=2.0 * math.pi)
-        dev = max(dev, abs(a - b) / b)
+        dev = np.max([dev, abs(a - b) / b])
     checks.append(("Bose density: cycle sum vs momentum integral", dev <= 1e-8, f"max rel dev {dev:.2e}"))
 
     dev = 0.0
@@ -322,7 +327,7 @@ def _verify_checks(seed: int):
         modes = float(rng.uniform(1.0, 1e4))
         band = observables.BandSpec.from_mode_count(nu, 0.05 * nu, modes)
         relative, wave, particle = observables.band_fluctuation(ThermoState(t), band)
-        dev = max(dev, abs(particle + wave - relative) / relative)
+        dev = np.max([dev, abs(particle + wave - relative) / relative])
     checks.append(("wave + particle = relative fluctuation", dev <= 1e-12, f"max rel dev {dev:.2e}"))
 
     state = ThermoState(1.0, 1.0)

@@ -44,6 +44,12 @@ def _require_integer(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _require_photon_fugacity(state: ThermoState) -> None:
+    """The photon number is not conserved, so the photon gas has fugacity 1."""
+    if state.fugacity != 1.0:
+        raise DomainError(f"the photon gas has fugacity 1, got {state.fugacity}")
+
+
 @dataclass(frozen=True)
 class ThermoState:
     """Grand-canonical ensemble parameters in natural units.
@@ -88,7 +94,7 @@ class UnitsPolicy:
 
     def __post_init__(self):
         if self.mode not in ("natural", "si"):
-            raise ValueError(f"units mode must be 'natural' or 'si', got {self.mode!r}")
+            raise DomainError(f"units mode must be 'natural' or 'si', got {self.mode!r}")
 
     @property
     def length_unit_m(self) -> float:
@@ -138,9 +144,6 @@ class UnitsPolicy:
     def number_density_to_si(self, n: float) -> float:
         return n / self.length_unit_m**3
 
-    def energy_density_to_si(self, u: float) -> float:
-        return u / self.length_unit_m**3
-
     def spectral_density_to_si(self, u_nu: float) -> float:
         # energy per volume per frequency: J / (m^3 Hz)
         return u_nu * self.time_unit_s / self.length_unit_m**3
@@ -159,6 +162,8 @@ class UnitsPolicy:
 
 _ZETA_TRUNCATIONS = (256, 1024, 4096, 16384, 65536)
 _ZETA_REL_TOL = 1e-13
+POLYLOG_MAX_TERMS = 10**7
+BOSE_QUADRATURE_UPPER = 40.0
 
 
 def riemann_zeta(r: float) -> float:
@@ -185,11 +190,12 @@ def riemann_zeta(r: float) -> float:
     return value
 
 
-def polylog(r: float, z: float, max_terms: int = 10**7) -> float:
+def polylog(r: float, z: float) -> float:
     """Bose-Einstein function g_r(z) = sum of z**s / s**r, for z in [0, 1].
 
     For z < 1 the series is summed directly and cut off once a geometric
-    tail bound falls below 1e-13 of the partial sum; at z = 1 it reduces to
+    tail bound falls below 1e-13 of the partial sum, or raises
+    ConvergenceError after POLYLOG_MAX_TERMS terms; at z = 1 it reduces to
     the zeta function (requiring r > 1).
     """
     if not 0.0 <= z <= 1.0:
@@ -205,7 +211,7 @@ def polylog(r: float, z: float, max_terms: int = 10**7) -> float:
     total = 0.0
     start = 1
     chunk = 4096
-    while start <= max_terms:
+    while start <= POLYLOG_MAX_TERMS:
         s = np.arange(start, start + chunk, dtype=float)
         total += float(np.sum(np.exp(s * log_z) * s ** (-r)))
         nxt = start + chunk
@@ -217,17 +223,17 @@ def polylog(r: float, z: float, max_terms: int = 10**7) -> float:
                 return total
         start = nxt
     raise ConvergenceError(
-        f"polylog({r}, {z}) did not converge within {max_terms} terms"
+        f"polylog({r}, {z}) did not converge within {POLYLOG_MAX_TERMS} terms"
     )
 
 
-def bose_quadrature(n: int, upper: float = 40.0) -> float:
+def bose_quadrature(n: int) -> float:
     """Integral of x**n / (e**x - 1) on [0, inf) by adaptive quadrature.
 
-    The finite part [0, upper] goes to an adaptive scheme (expm1 keeps the
-    small-x integrand exact); the tail beyond `upper` is summed analytically
-    as sum_k Gamma(n+1, k*upper) / k**(n+1) via e**(-kx) expansion of the
-    Bose factor.
+    The finite part [0, U] with U = BOSE_QUADRATURE_UPPER goes to an
+    adaptive scheme (expm1 keeps the small-x integrand exact); the tail
+    beyond U is summed analytically as sum_k Gamma(n+1, k*U) / k**(n+1) via
+    e**(-kx) expansion of the Bose factor.
     """
     n = _require_integer("bose_quadrature order n", n, 1)
     from scipy.integrate import quad  # an oracle: keeps scipy out of `import cyclegas`
@@ -237,7 +243,7 @@ def bose_quadrature(n: int, upper: float = 40.0) -> float:
             return 1.0 if n == 1 else 0.0
         return x**n / math.expm1(x)
 
-    value, abserr = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=200)
+    value, abserr = quad(integrand, 0.0, BOSE_QUADRATURE_UPPER, epsabs=0.0, epsrel=1e-12, limit=200)
     if abserr > 1e-10 * abs(value):
         raise ConvergenceError(
             f"adaptive quadrature for bose_quadrature({n}) reports error {abserr:g}"
@@ -246,7 +252,7 @@ def bose_quadrature(n: int, upper: float = 40.0) -> float:
     fact = math.factorial(n)
     tail = 0.0
     for k in range(1, 60):
-        y = k * upper
+        y = k * BOSE_QUADRATURE_UPPER
         incomplete = fact * math.exp(-y) * sum(y**j / math.factorial(j) for j in range(n + 1))
         term = incomplete / k ** (n + 1)
         tail += term
@@ -262,7 +268,5 @@ def bose_integral(n: int) -> float:
     the independent route; Tier-1 and `cyclegas verify` check that the two
     agree.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"bose_integral requires an integer n >= 1, got {n}")
-    n = int(n)
+    n = _require_integer("bose_integral order n", n, 1)
     return math.factorial(n) * riemann_zeta(n + 1)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, DomainError, ThermoState
+from .core import ConvergenceError, DomainError, SizeError, ThermoState
+from .core import _require_integer, _require_photon_fugacity
 
 TWO_OVER_PI_SQUARED = 2.0 / math.pi**2
 
@@ -69,31 +70,33 @@ class Dispersion:
         return cls(kind="massive", mass=mass, internal_degeneracy=internal_degeneracy)
 
 
-def _check_cycle_size(s):
-    if int(s) != s or s < 1:
-        raise DomainError(f"cycle size must be an integer >= 1, got {s}")
-    return int(s)
-
-
 def _photon_cycle_term(temperature, volume=1.0, s=1.0, power=0.0):
     """V (2/pi^2) T^3 / s**power, the one place the photon cycle weight is written.
 
     power 3 gives V f_s, power 4 the mean number V f_s / s of s-cycles, and
     the defaults give the prefactor V (2/pi^2) T^3 that multiplies sums of
-    s**(-power).  s may be an array.
+    s**(-power).  s may be an array.  Raises SizeError when the prefactor
+    overflows double precision.
     """
-    return volume * TWO_OVER_PI_SQUARED * temperature**3 / s**power
+    try:
+        prefactor = volume * TWO_OVER_PI_SQUARED * temperature**3
+    except OverflowError:  # a float temperature**3 raises rather than giving inf
+        prefactor = math.inf
+    if math.isinf(prefactor):
+        raise SizeError(f"V T^3 overflows at V = {volume:g}, T = {temperature:g}")
+    return prefactor / s**power
 
 
 def photon_cycle_weight(state: ThermoState, s: int) -> CycleWeight:
     """Closed-form photon cycle weight (2/pi^2) * T^3 / s^3."""
-    s = _check_cycle_size(s)
+    _require_photon_fugacity(state)
+    s = _require_integer("cycle size s", s, 1)
     return CycleWeight(s=s, value=_photon_cycle_term(state.temperature, s=s, power=3))
 
 
 def matter_cycle_weight(state: ThermoState, mass: float, s: int) -> CycleWeight:
     """Closed-form matter-wave cycle weight (m T / 2 pi)^(3/2) / s^(3/2)."""
-    s = _check_cycle_size(s)
+    s = _require_integer("cycle size s", s, 1)
     if not mass > 0.0:
         raise DomainError(f"mass must be > 0, got {mass}")
     value = (mass * state.temperature / (2.0 * math.pi)) ** 1.5 / s**1.5
@@ -122,7 +125,7 @@ def cycle_weight_by_quadrature(dispersion: Dispersion, state: ThermoState, s: in
     remaining scale factor is exact arithmetic.  Serves as the independent
     oracle for the two closed-form weights.
     """
-    s = _check_cycle_size(s)
+    s = _require_integer("cycle size s", s, 1)
     g = dispersion.internal_degeneracy
     beta = state.beta
     if dispersion.kind == "photon":
@@ -142,9 +145,7 @@ def decay_comparison(s_max: int) -> np.ndarray:
     Checks that the photon column decays strictly faster for every s >= 2
     and that the two log-log slopes are -3 and -3/2.
     """
-    if int(s_max) != s_max or s_max < 2:
-        raise DomainError(f"s_max must be an integer >= 2, got {s_max}")
-    s_max = int(s_max)
+    s_max = _require_integer("s_max", s_max, 2)
     state = ThermoState(temperature=1.0)
     f1 = photon_cycle_weight(state, 1).value
     fp1 = matter_cycle_weight(state, 2.0 * math.pi, 1).value

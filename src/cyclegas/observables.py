@@ -24,9 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ThermoState, _require_integer, bose_quadrature, riemann_zeta
+from .core import DomainError, ThermoState, bose_quadrature, riemann_zeta
+from .core import _require_integer, _require_photon_fugacity
 from .cycle_weights import _photon_cycle_term
 from .partition import log_grand_partition_integral, tail_bracket
+
+MEAN_ENERGY_REL_STEP = 1e-5
+VARIANCE_REL_STEP = 1e-3
+WIEN_PEAK_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -70,10 +75,10 @@ def mean_energy(state: ThermoState) -> float:
     return 3.0 * state.temperature * log_grand_partition_integral(state)
 
 
-def mean_energy_finite_difference(state: ThermoState, rel_step: float = 1e-5) -> float:
+def mean_energy_finite_difference(state: ThermoState) -> float:
     """-d(log Z)/d(beta) by central difference, the oracle for mean_energy."""
     beta = state.beta
-    h = rel_step * beta
+    h = MEAN_ENERGY_REL_STEP * beta
     lo = ThermoState(1.0 / (beta - h), state.volume, state.fugacity)
     hi = ThermoState(1.0 / (beta + h), state.volume, state.fugacity)
     return -(log_grand_partition_integral(hi) - log_grand_partition_integral(lo)) / (2.0 * h)
@@ -81,8 +86,7 @@ def mean_energy_finite_difference(state: ThermoState, rel_step: float = 1e-5) ->
 
 def photon_number_density(state: ThermoState) -> float:
     """Average photon density (2/pi^2) * T^3 * zeta(3)."""
-    if state.fugacity != 1.0:
-        raise DomainError("photon gas requires fugacity = 1")
+    _require_photon_fugacity(state)
     return _photon_cycle_term(state.temperature) * riemann_zeta(3.0)
 
 
@@ -93,8 +97,7 @@ def photon_number_density_cycle_sum(state: ThermoState, s_max: int = 10**4) -> f
     on sum_{s > s_max} s**(-3); at the default s_max the certified error is
     below 1e-12 relative.
     """
-    if state.fugacity != 1.0:
-        raise DomainError("photon gas requires fugacity = 1")
+    _require_photon_fugacity(state)
     s_max = _require_integer("s_max", s_max, 1)
     total = 0.0
     for s in range(s_max, 0, -1):  # ascending magnitude for a tighter float sum
@@ -135,10 +138,10 @@ def energy_variance(state: ThermoState, s_max: int = 100) -> FluctuationReport:
     )
 
 
-def energy_variance_finite_difference(state: ThermoState, rel_step: float = 1e-3) -> float:
+def energy_variance_finite_difference(state: ThermoState) -> float:
     """d^2(log Z)/d(beta)^2 by a 5-point central stencil, the variance oracle."""
     beta = state.beta
-    h = rel_step * beta
+    h = VARIANCE_REL_STEP * beta
 
     def log_z(b):
         return log_grand_partition_integral(ThermoState(1.0 / b, state.volume, state.fugacity))
@@ -159,6 +162,7 @@ def band_fluctuation(state: ThermoState, band: BandSpec):
     relative = <dE^2>/<E>^2, particle = h*nu/<E>, wave = 1/(rho * dnu).
     The identity relative = particle + wave is exact.
     """
+    _require_photon_fugacity(state)
     modes = band.mode_count()
     if modes < 1.0:
         raise DomainError(
@@ -176,6 +180,7 @@ def planck_spectral_density(state: ThermoState, nu: float) -> float:
 
     This is (8 pi h nu^3 / c^3) / (e^{h nu / k T} - 1) in natural units.
     """
+    _require_photon_fugacity(state)
     if not nu > 0.0:
         raise DomainError(f"frequency must be > 0, got {nu}")
     return 16.0 * math.pi**2 * nu**3 / math.expm1(2.0 * math.pi * nu / state.temperature)
@@ -188,17 +193,18 @@ def spectral_energy_density_integral(state: ThermoState) -> float:
     the n = 3 Bose integral), so this route is independent of the
     zeta-series closed forms.
     """
+    _require_photon_fugacity(state)
     return state.temperature**4 / math.pi**2 * bose_quadrature(3)
 
 
-def wien_peak_x(tol: float = 1e-13) -> float:
+def wien_peak_x() -> float:
     """Location x* = h nu / k T of the Planck spectral peak.
 
     Solves 3*(1 - e**(-x)) = x by bisection on [2, 3]; the root is the Wien
     displacement constant 2.8214393721...
     """
     lo, hi = 2.0, 3.0
-    while hi - lo > tol:
+    while hi - lo > WIEN_PEAK_TOL:
         mid = 0.5 * (lo + hi)
         if 3.0 * (1.0 - math.exp(-mid)) - mid > 0.0:
             lo = mid

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
-from .core import ConvergenceError, DomainError, SizeError
+from .core import ConvergenceError, DomainError, SizeError, _require_integer
 from .partition import ENUMERATION_LIMIT, CycleSumSequence, canonical_partition_enumerated
 
 OCCUPATION_VECTOR_LIMIT = 10**7
@@ -60,34 +61,6 @@ class ModeSpectrum:
         order = np.argsort(e, kind="stable")
         return cls(energies=e[order], degeneracies=g[order])
 
-    @classmethod
-    def from_file(cls, path) -> "ModeSpectrum":
-        """Read "energy degeneracy" pairs, one per line; '#' starts a comment.
-
-        The degeneracy may be omitted (defaults to 1); modes are sorted by
-        energy on load.
-        """
-        energies = []
-        degeneracies = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                fields = line.split()
-                if len(fields) > 2:
-                    raise ValueError(
-                        f"{path}:{line_no}: expected 'energy [degeneracy]', got {raw!r}"
-                    )
-                try:
-                    energies.append(float(fields[0]))
-                    degeneracies.append(int(fields[1]) if len(fields) == 2 else 1)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from exc
-        if not energies:
-            raise ValueError(f"{path}: no modes found")
-        return cls.from_modes(energies, degeneracies)
-
     def expanded_energies(self) -> np.ndarray:
         """Energies with degeneracies unrolled into repeated entries."""
         total = int(np.sum(self.degeneracies))
@@ -101,7 +74,31 @@ class ModeSpectrum:
 
 
 def load_spectrum(path) -> ModeSpectrum:
-    return ModeSpectrum.from_file(path)
+    """Read "energy degeneracy" pairs, one per line; '#' starts a comment.
+
+    The degeneracy may be omitted (defaults to 1); modes are sorted by
+    energy on load.
+    """
+    energies = []
+    degeneracies = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            fields = line.split()
+            if len(fields) > 2:
+                raise ValueError(
+                    f"{path}:{line_no}: expected 'energy [degeneracy]', got {raw!r}"
+                )
+            try:
+                energies.append(float(fields[0]))
+                degeneracies.append(int(fields[1]) if len(fields) == 2 else 1)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    if not energies:
+        raise ValueError(f"{path}: no modes found")
+    return ModeSpectrum.from_modes(energies, degeneracies)
 
 
 def grand_partition_product(spectrum: ModeSpectrum, z: float, beta: float) -> float:
@@ -117,15 +114,15 @@ def grand_partition_product(spectrum: ModeSpectrum, z: float, beta: float) -> fl
     return result
 
 
-def grand_partition_cycle(
-    spectrum: ModeSpectrum, z: float, beta: float, s_max: int | None = None
-) -> float:
+def grand_partition_cycle(spectrum: ModeSpectrum, z: float, beta: float) -> float:
     """Discrete cycle expansion exp(sum_s z^s C_s / s) of the grand product.
 
     The series terms decay at least geometrically with ratio
-    q = z * exp(-beta * e_min), which must stay <= 0.9; when s_max is not
-    given the sum stops once the geometric tail bound drops below 1e-13.
+    q = z * exp(-beta * e_min), which must stay <= 0.9; the sum stops once
+    the geometric tail bound drops below 1e-13 of it.
     """
+    if not z >= 0.0:
+        raise DomainError(f"fugacity must be >= 0, got {z}")
     g = spectrum.degeneracies.astype(float)
     # z^s C_s = sum_j g_j q_j^s with q_j = z e^{-beta e_j}, every q_j below 1
     q_modes = z * np.exp(-beta * spectrum.energies)
@@ -135,17 +132,12 @@ def grand_partition_cycle(
             f"z * exp(-beta * e_min) = {q:g} exceeds the 0.9 convergence margin"
         )
     total = 0.0
-    s = 0
-    hard_cap = s_max if s_max is not None else 10**5
-    while s < hard_cap:
-        s += 1
+    for s in count(1):
         term = float(np.sum(g * q_modes**s)) / s
         total += term
-        if s_max is None and q > 0.0 and term * q / (1.0 - q) <= 1e-13 * total:
-            break
-        if z == 0.0:
-            break
-    return math.exp(total)
+        # the rest is at most term * q / (1 - q); "not >" also stops on q = 0 and on NaN
+        if not term * q / (1.0 - q) > 1e-13 * total:
+            return math.exp(total)
 
 
 def canonical_by_occupation(spectrum: ModeSpectrum, N: int, beta: float) -> float:
@@ -154,9 +146,7 @@ def canonical_by_occupation(spectrum: ModeSpectrum, N: int, beta: float) -> floa
     Pure enumeration over the degeneracy-expanded modes; the number of
     vectors, binom(N + M - 1, N), is capped at 10^7 as a hard API limit.
     """
-    if N < 0 or int(N) != N:
-        raise DomainError(f"particle number must be an integer >= 0, got {N}")
-    N = int(N)
+    N = _require_integer("particle number N", N, 0)
     if N == 0:
         return 1.0
     energies = spectrum.expanded_energies()

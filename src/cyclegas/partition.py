@@ -29,9 +29,13 @@ from itertools import islice
 import numpy as np
 
 from .core import ConvergenceError, DomainError, SizeError, ThermoState, bose_integral, polylog
+from .core import _require_integer, _require_photon_fugacity
 from .cycle_weights import _photon_cycle_term
 
 ENUMERATION_LIMIT = 25  # p(25) = 1958 cycle types, factorials < 2**128
+GRAND_SUM_REL_CUTOFF = 1e-16
+# the first power of two from 64 at which tail_bracket(s_max, 4) is narrower than 1e-12
+CYCLE_SERIES_S_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -82,14 +86,15 @@ class CycleSumSequence:
 
     @classmethod
     def from_photon_gas(cls, state: ThermoState, s_max: int) -> "CycleSumSequence":
-        s = np.arange(1, s_max + 1, dtype=float)
+        _require_photon_fugacity(state)
+        s = np.arange(1, _require_integer("s_max", s_max, 1) + 1, dtype=float)
         return cls(values=_photon_cycle_term(state.temperature, state.volume, s, 3))
 
     @classmethod
     def from_spectrum(cls, energies, degeneracies, beta: float, s_max: int) -> "CycleSumSequence":
         e = np.asarray(energies, dtype=float)
         g = np.asarray(degeneracies, dtype=float)
-        s = np.arange(1, s_max + 1, dtype=float)
+        s = np.arange(1, _require_integer("s_max", s_max, 1) + 1, dtype=float)
         return cls(values=np.exp(-beta * np.outer(s, e)) @ g)
 
 
@@ -99,6 +104,7 @@ def tail_bracket(s_max: int, power: float):
     Returns (lo, hi) with lo = integral from s_max+1 and hi = integral from
     s_max of x**(-power); the true tail lies strictly between them.
     """
+    s_max = _require_integer("s_max", s_max, 1)
     if power <= 1.0:
         raise DomainError("tail bracket requires power > 1")
     lo = (s_max + 1.0) ** (1.0 - power) / (power - 1.0)
@@ -106,39 +112,34 @@ def tail_bracket(s_max: int, power: float):
     return lo, hi
 
 
-def _require_photon_fugacity(state: ThermoState):
-    if state.fugacity != 1.0:
-        raise DomainError(
-            "photon gas has no conserved particle number: fugacity must be 1, "
-            f"got {state.fugacity}"
-        )
-
-
 def log_grand_partition_integral(state: ThermoState) -> float:
-    """log Z of the photon gas from the momentum integral of p^3/(e^p - 1)."""
+    """log Z of the photon gas from the momentum integral of p^3/(e^p - 1).
+
+    Raises SizeError when log Z overflows double precision.
+    """
     _require_photon_fugacity(state)
-    # volume multiplies last so that log Z(V) = V * log Z(1) holds exactly
-    per_volume = state.temperature**3 / (3.0 * math.pi**2) * bose_integral(3)
-    return state.volume * per_volume
+    try:
+        # volume multiplies last so that log Z(V) = V * log Z(1) holds exactly
+        log_z = state.volume * (state.temperature**3 / (3.0 * math.pi**2) * bose_integral(3))
+    except OverflowError:  # a float temperature**3 raises rather than giving inf
+        log_z = math.inf
+    if math.isinf(log_z):
+        raise SizeError(f"log Z overflows at V = {state.volume:g}, T = {state.temperature:g}")
+    return log_z
 
 
 def log_grand_partition_cycle_series(
-    state: ThermoState, s_max: int | None = None, include_tail: bool = True
+    state: ThermoState, s_max: int = CYCLE_SERIES_S_MAX, include_tail: bool = True
 ) -> float:
     """log Z of the photon gas as V * sum_s f_s / s.
 
     With include_tail the truncated series is closed by the midpoint of the
-    two-sided integral bracket on sum_{s > s_max} s**(-4); by default s_max
-    grows until the bracket width is below 1e-12 of the sum, which brings
-    the result within 1e-10 relative of the integral route.
+    two-sided integral bracket on sum_{s > s_max} s**(-4); at the default
+    s_max that bracket is narrower than 1e-12 of the sum, which brings the
+    result within 1e-10 relative of the integral route.
     """
     _require_photon_fugacity(state)
-    if s_max is None:
-        s_max = 64
-        while tail_bracket(s_max, 4.0)[1] - tail_bracket(s_max, 4.0)[0] > 1e-12:
-            s_max *= 2
-    if s_max < 1:
-        raise DomainError(f"s_max must be >= 1, got {s_max}")
+    s_max = _require_integer("s_max", s_max, 1)
     s = np.arange(1, s_max + 1, dtype=float)
     total = float(np.sum(s ** (-4.0)))
     if include_tail:
@@ -156,9 +157,7 @@ def log_grand_partition_product_form(state: ThermoState, s_max: int) -> np.ndarr
     sum_xi lambda**xi / xi! = exp(lambda), is checked in Tier-1.
     """
     _require_photon_fugacity(state)
-    if s_max < 1:
-        raise DomainError(f"s_max must be >= 1, got {s_max}")
-    s = np.arange(1, s_max + 1, dtype=float)
+    s = np.arange(1, _require_integer("s_max", s_max, 1) + 1, dtype=float)
     return np.cumsum(_photon_cycle_term(state.temperature, state.volume, s, 4))
 
 
@@ -171,9 +170,10 @@ def grand_partition_product_form(state: ThermoState, s_max: int) -> np.ndarray:
     return np.exp(log_grand_partition_product_form(state, s_max))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True must reach the check, not a cached np.int64(1)
 def cycle_types(n: int):
     """All integer partitions of n as tuples of (cycle size, multiplicity)."""
+    n = _require_integer("n", n, 0)
 
     def generate(remaining, largest):
         if remaining == 0:
@@ -215,9 +215,7 @@ def _canonical_recursion(C: CycleSumSequence):
 
 def canonical_partition_table(C: CycleSumSequence, N: int) -> np.ndarray:
     """Array of Z_0, Z_1, ..., Z_N from the cycle-sum recursion."""
-    if N < 0 or int(N) != N:
-        raise DomainError(f"particle number must be an integer >= 0, got {N}")
-    N = int(N)
+    N = _require_integer("particle number N", N, 0)
     if N > 0 and C.s_max < N:
         raise DomainError(f"need cycle sums up to s = {N}, have s_max = {C.s_max}")
     return np.array([1.0, *islice(_canonical_recursion(C), N)])
@@ -231,9 +229,7 @@ def canonical_partition_enumerated(C: CycleSumSequence, N: int):
     cycle-type counting identity sum over distributions of
     N!/(prod_s xi_s! s**xi_s) = N! is verified in exact integer arithmetic.
     """
-    if N < 0 or int(N) != N:
-        raise DomainError(f"particle number must be an integer >= 0, got {N}")
-    N = int(N)
+    N = _require_integer("particle number N", N, 0)
     if N > ENUMERATION_LIMIT:
         raise SizeError(
             f"enumeration is limited to N <= {ENUMERATION_LIMIT}, got N = {N}"
@@ -262,13 +258,11 @@ def canonical_partition_enumerated(C: CycleSumSequence, N: int):
     return total, breakdown
 
 
-def grand_partition_from_canonical(
-    C: CycleSumSequence, z: float, rel_cutoff: float = 1e-16
-) -> float:
+def grand_partition_from_canonical(C: CycleSumSequence, z: float) -> float:
     """Grand sum sum_N z**N Z_N built from the canonical recursion.
 
-    Truncates once a term drops below rel_cutoff of the running sum; raises
-    if the available cycle sums run out first.
+    Truncates once a term drops below GRAND_SUM_REL_CUTOFF of the running
+    sum; raises if the available cycle sums run out first.
     """
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"fugacity must lie in [0, 1], got {z}")
@@ -278,7 +272,7 @@ def grand_partition_from_canonical(
         z_power *= z
         term = z_power * z_n
         total += term
-        if n >= 8 and term < rel_cutoff * total:
+        if n >= 8 and term < GRAND_SUM_REL_CUTOFF * total:
             return total
     raise ConvergenceError(
         f"grand sum not converged by N = {C.s_max}; extend the cycle sums"

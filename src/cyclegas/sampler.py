@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._output import dumps
-from .core import DomainError, SizeError, ThermoState, _require_integer
+from .core import DomainError, SizeError, ThermoState, _require_integer, _require_photon_fugacity
 from .cycle_weights import _photon_cycle_term
 from .partition import CycleDistribution, tail_bracket
 
@@ -52,10 +52,7 @@ class SampleConfig:
             raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.replicas >= 2**32 or self.s_max >= 2**32:
             raise DomainError("replicas and s_max must fit in 32 bits")
-        if self.state.fugacity != 1.0:
-            raise DomainError(
-                f"the photon gas is sampled at fugacity 1, got {self.state.fugacity}"
-            )
+        _require_photon_fugacity(self.state)
         t = self.state.temperature
         size = self.replicas * self.state.volume * t * t * t  # inf, not OverflowError as t**3
         if not size <= SAMPLE_SIZE_LIMIT:

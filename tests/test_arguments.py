@@ -1,0 +1,164 @@
+"""Every argument is read or refused.
+
+A CLI flag either changes the output or makes the command exit 2, and a
+library call given an argument it cannot honour raises instead of returning
+a value computed without it.
+"""
+
+import argparse
+import contextlib
+import functools
+import io
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import cyclegas as cg
+from cyclegas import cli
+from cyclegas.core import DomainError, SizeError
+
+MODES = str(Path(__file__).parent / "data" / "cli_golden" / "modes.txt")
+
+# A valid value other than the default for every flag that takes a number or a path.
+FLAG_VALUES = {
+    "--temperature": "2.5",
+    "--volume": "3.5",
+    "--s-max": "4",
+    "--mass": "3",
+    "--spectrum-file": MODES,
+    "--n-max": "3",
+    "--x-min": "0.5",
+    "--x-max": "10",
+    "--points": "7",
+    "--nu": "0.3",
+    "--delta-nu": "0.01",
+    "--seed": "7",
+    "--replicas": "9",
+}
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.lru_cache(maxsize=None)
+def default_run(command):
+    return run([command])
+
+
+def subcommand_flags():
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (command, action)
+        for command, sub in subs.choices.items()
+        for action in sub._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    ]
+
+
+def test_settable_flag_count():
+    assert len(subcommand_flags()) == 44
+
+
+@pytest.mark.parametrize(
+    "command, action",
+    subcommand_flags(),
+    ids=[f"{command} {action.option_strings[0]}" for command, action in subcommand_flags()],
+)
+def test_every_flag_is_read_or_refused(command, action, tmp_path):
+    flag = action.option_strings[0]
+    if action.choices:
+        value = next(c for c in action.choices if c != action.default)
+    elif flag == "--output":
+        value = str(tmp_path / "out.txt")
+    else:
+        value = FLAG_VALUES[flag]
+    code, out, err = run([command, flag, value])
+    if code == 2:
+        assert out == "" and err.startswith("ERROR 2:")
+        return
+    assert code == 0, err
+    assert out != default_run(command)[1]
+
+
+T1 = cg.ThermoState(1.0, 2.0)
+HALF = cg.ThermoState(1.0, 1.0, 0.5)
+SUMS = cg.CycleSumSequence.from_spectrum([0.0, 1.0], [1, 2], 1.0, 5)
+SPECTRUM = cg.ModeSpectrum.from_modes([0.0, 1.0])
+BAND = cg.BandSpec.from_mode_count(0.5, 0.025, 100.0)
+
+REFUSED_CALLS = {
+    "product form s_max 2.5": lambda: cg.log_grand_partition_product_form(T1, 2.5),
+    "cycle series s_max 2.5": lambda: cg.log_grand_partition_cycle_series(T1, 2.5),
+    "table N True": lambda: cg.canonical_partition_table(SUMS, True),
+    "photon weight s True": lambda: cg.photon_cycle_weight(T1, True),
+    "bose_integral True": lambda: cg.bose_integral(True),
+    "table N 3.0": lambda: cg.canonical_partition_table(SUMS, 3.0),
+    "occupation N 2.0": lambda: cg.canonical_by_occupation(SPECTRUM, 2.0, 1.0),
+    "decay s_max 4.0": lambda: cg.decay_comparison(4.0),
+    "cycle_types -1": lambda: cg.cycle_types(-1),
+    "cycle_types True after np.int64(1)": lambda: (cg.cycle_types(np.int64(1)), cg.cycle_types(True)),
+    "tail_bracket s_max 2.5": lambda: cg.tail_bracket(2.5, 4.0),
+    "photon weight z 0.5": lambda: cg.photon_cycle_weight(HALF, 1),
+    "planck density z 0.5": lambda: cg.planck_spectral_density(HALF, 0.3),
+    "band fluctuation z 0.5": lambda: cg.band_fluctuation(HALF, BAND),
+    "photon cycle sums z 0.5": lambda: cg.CycleSumSequence.from_photon_gas(HALF, 5),
+    "spectral integral z 0.5": lambda: cg.spectral_energy_density_integral(HALF),
+    "grand cycle form z -0.5": lambda: cg.grand_partition_cycle(SPECTRUM, -0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED_CALLS.values(), ids=REFUSED_CALLS.keys())
+def test_library_refuses(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weights", "--volume", "7", "--fugacity", "0.5"],
+        ["weights", "--mass", "3"],
+        ["spectrum", "--volume", "9", "--fugacity", "0.3"],
+        ["density", "--volume", "9"],
+        ["partition", "--s-max", "2", "--n-max", "5"],
+        ["partition", "--spectrum-file", MODES, "--n-max", "3", "--s-max", "7", "--volume", "4"],
+    ],
+    ids=lambda argv: " ".join("F" if arg == MODES else arg for arg in argv),
+)
+def test_cli_refuses(argv):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("ERROR 2:")
+
+
+HOT = cg.ThermoState(1e150)  # T^3 overflows double precision
+HUGE = cg.ThermoState(1e3, 1e300)  # V T^3 overflows double precision
+
+OVERFLOWING_CALLS = {
+    "photon density, T 1e150": lambda: cg.photon_number_density(HOT),
+    "mean energy, T 1e150": lambda: cg.mean_energy(HOT),
+    "photon weight, T 1e150": lambda: cg.photon_cycle_weight(HOT, 1),
+    "mean energy, V T^3 1e309": lambda: cg.mean_energy(HUGE),
+    "energy variance, V T^3 1e309": lambda: cg.energy_variance(HUGE),
+    "cycle series, V T^3 1e309": lambda: cg.log_grand_partition_cycle_series(HUGE),
+    "product form, V T^3 1e309": lambda: cg.log_grand_partition_product_form(HUGE, 5),
+}
+
+
+@pytest.mark.parametrize("call", OVERFLOWING_CALLS.values(), ids=OVERFLOWING_CALLS.keys())
+def test_overflow_is_a_size_error(call):
+    with pytest.raises(SizeError):
+        call()
+
+
+def test_sizes_just_inside_the_range_stay_finite():
+    state = cg.ThermoState(1e3, 1e290)
+    assert math.isfinite(cg.mean_energy(state))
+    assert math.isfinite(cg.log_grand_partition_cycle_series(state))

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from cyclegas import cli, core
+from cyclegas import cli, core, partition
 from cyclegas.core import HBAR_SI, KB_SI, C_SI, ThermoState
 from cyclegas.observables import photon_number_density
 
@@ -209,6 +209,20 @@ class TestVerifyCommand:
         code, out, err = run(capsys, ["verify"])
         assert code == 1 and err.startswith("ERROR 1:")
         assert any(line.startswith(f"FAIL  {name}") for line in out.splitlines())
+
+    def test_nan_deviation_fails(self, capsys, monkeypatch):
+        # the NaN arrives after the first z of the Bose check, where max() would drop it
+        name = "Bose density: cycle sum vs momentum integral"
+        original = partition.bose_number_density_integral
+        monkeypatch.setattr(
+            partition,
+            "bose_number_density_integral",
+            lambda state, mass: math.nan if state.fugacity > 0.1 else original(state, mass),
+        )
+        code, out, err = run(capsys, ["verify"])
+        assert code == 1 and err.startswith("ERROR 1:")
+        assert any(line.startswith(f"FAIL  {name}") for line in out.splitlines())
+        assert out.splitlines()[-1].startswith("FAIL  overall")
 
 
 class TestOutputHandling:

@@ -163,5 +163,5 @@ class TestUnitsPolicy:
         assert rel(2.0 * math.pi * nu / t, x_si) <= 1e-12
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             UnitsPolicy(mode="imperial")

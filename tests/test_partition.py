@@ -5,6 +5,7 @@ import pytest
 
 from cyclegas.core import ConvergenceError, DomainError, SizeError, ThermoState
 from cyclegas.partition import (
+    CYCLE_SERIES_S_MAX,
     CycleDistribution,
     CycleSumSequence,
     bose_number_density_cycle,
@@ -47,6 +48,14 @@ class TestLogPartitionRoutes:
             log_grand_partition_integral(ThermoState(1.0, 1.0, 0.5))
         with pytest.raises(DomainError):
             log_grand_partition_cycle_series(ThermoState(1.0, 1.0, 0.5))
+
+    def test_default_cutoff_is_the_first_with_a_narrow_bracket(self):
+        def width(s_max):
+            lo, hi = tail_bracket(s_max, 4.0)
+            return hi - lo
+
+        assert width(CYCLE_SERIES_S_MAX) <= 1e-12 < width(CYCLE_SERIES_S_MAX // 2)
+        assert CYCLE_SERIES_S_MAX in [64 * 2**k for k in range(10)]
 
     def test_series_single_term(self):
         assert log_grand_partition_cycle_series(T1V1, s_max=1, include_tail=False) == F1
