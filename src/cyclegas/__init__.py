@@ -50,11 +50,9 @@ from .partition import (
     bose_number_density_cycle,
     bose_number_density_integral,
     canonical_partition_enumerated,
-    canonical_partition_recursive,
     canonical_partition_table,
     cycle_types,
     grand_partition_from_canonical,
-    grand_partition_product_form,
     log_grand_partition_cycle_series,
     log_grand_partition_integral,
     log_grand_partition_product_form,

@@ -38,31 +38,19 @@ from .cycle_weights import matter_cycle_weight, photon_cycle_weight
 OUTPUT_DIR_ENV = "CYCLEGAS_OUTPUT_DIR"
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.9g}"
-
-
 def _table_text(columns, rows, fmt) -> str:
     if fmt == "json":
         payload = {"columns": list(columns), "rows": [list(map(float, r)) for r in rows]}
         return dumps(payload) + "\n"
     lines = [",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [",".join(dumps(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def _mapping_text(mapping, fmt) -> str:
     if fmt == "json":
         return dumps(mapping) + "\n"
-    lines = ["quantity,value"]
-    for key, value in mapping.items():
-        if isinstance(value, dict):
-            for sub, v in value.items():
-                lines.append(f"{key}[{sub}],{_fmt(v)}")
-        else:
-            lines.append(f"{key},{_fmt(value)}")
+    lines = ["quantity,value"] + [f"{key},{dumps(value)}" for key, value in mapping.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -135,10 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _state(args, units: UnitsPolicy) -> ThermoState:
     # commands without --volume give per-volume results at the default volume
     volume = getattr(args, "volume", None)
-    return ThermoState(
-        temperature=units.temperature_from_si(args.temperature),
-        volume=units.volume_from_si(1.0 if volume is None else volume),
-    )
+    return units.state_from_si(args.temperature, 1.0 if volume is None else volume)
 
 
 def cmd_weights(args, units: UnitsPolicy) -> str:
@@ -250,6 +235,9 @@ def cmd_sample(args, units: UnitsPolicy) -> str:
     report = sampler.estimate_observables(config)
     if args.format == "csv":
         return report.histogram_csv()
+    # the report echoes its state in internal units; print it in the input's units
+    temperature, volume, _fugacity = units.state_to_si(state)
+    report.config.update(temperature=temperature, volume=volume)
     return report.to_json() + "\n"
 
 
@@ -274,7 +262,7 @@ def _verify_checks(seed: int):
     checks.append(("integral vs cycle-series log Z", dev <= 1e-10, f"max rel dev {dev:.2e}"))
 
     state = ThermoState(1.0, 1.0)
-    products = partition.grand_partition_product_form(state, 50)
+    products = np.exp(partition.log_grand_partition_product_form(state, 50))
     monotone = bool(np.all(np.diff(products) > 0.0))
     target = math.exp(partition.log_grand_partition_integral(state))
     final_gap = (target - products[-1]) / target
@@ -287,7 +275,7 @@ def _verify_checks(seed: int):
     for _ in range(5):
         values = rng.uniform(0.1, 2.0, size=12)
         sums = partition.CycleSumSequence(values=values)
-        rec = partition.canonical_partition_recursive(sums, 12)
+        rec = partition.canonical_partition_table(sums, 12)[12]
         enum, _breakdown = partition.canonical_partition_enumerated(sums, 12)
         dev = np.max([dev, abs(rec - enum) / abs(rec)])
     checks.append(("recursion vs enumeration Z_N", dev <= 1e-12, f"max rel dev {dev:.2e}"))
@@ -303,7 +291,7 @@ def _verify_checks(seed: int):
         for beta in (0.5, 1.0, 2.0):
             occ = oracle.canonical_by_occupation(spectrum, n, beta)
             perm = oracle.canonical_by_permutations(spectrum, n, beta)
-            rec = partition.canonical_partition_recursive(spectrum.cycle_sums(beta, n), n)
+            rec = partition.canonical_partition_table(spectrum.cycle_sums(beta, n), n)[n]
             dev = np.max([dev, abs(occ - perm) / occ, abs(occ - rec) / occ])
             z = 0.89 * math.exp(beta * float(spectrum.energies[0]))
             prod = oracle.grand_partition_product(spectrum, z, beta)

@@ -227,6 +227,17 @@ def polylog(r: float, z: float) -> float:
     )
 
 
+def _quad(integrand, upper: float, epsrel: float, accept: float, what: str) -> float:
+    """Integral over [0, upper] for the oracles; ConvergenceError naming `what`
+    if the error estimate exceeds accept * |value|."""
+    from scipy.integrate import quad  # the one scipy import: keeps it out of `import cyclegas`
+
+    value, abserr = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=epsrel, limit=200)
+    if abserr > accept * abs(value):
+        raise ConvergenceError(f"adaptive quadrature for {what} reports error {abserr:g}")
+    return value
+
+
 def bose_quadrature(n: int) -> float:
     """Integral of x**n / (e**x - 1) on [0, inf) by adaptive quadrature.
 
@@ -236,19 +247,13 @@ def bose_quadrature(n: int) -> float:
     e**(-kx) expansion of the Bose factor.
     """
     n = _require_integer("bose_quadrature order n", n, 1)
-    from scipy.integrate import quad  # an oracle: keeps scipy out of `import cyclegas`
 
     def integrand(x):
         if x == 0.0:
             return 1.0 if n == 1 else 0.0
         return x**n / math.expm1(x)
 
-    value, abserr = quad(integrand, 0.0, BOSE_QUADRATURE_UPPER, epsabs=0.0, epsrel=1e-12, limit=200)
-    if abserr > 1e-10 * abs(value):
-        raise ConvergenceError(
-            f"adaptive quadrature for bose_quadrature({n}) reports error {abserr:g}"
-        )
-
+    value = _quad(integrand, BOSE_QUADRATURE_UPPER, 1e-12, 1e-10, f"bose_quadrature({n})")
     fact = math.factorial(n)
     tail = 0.0
     for k in range(1, 60):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, DomainError, SizeError, ThermoState
-from .core import _require_integer, _require_photon_fugacity
+from .core import DomainError, SizeError, ThermoState
+from .core import _quad, _require_integer, _require_photon_fugacity
 
 TWO_OVER_PI_SQUARED = 2.0 / math.pi**2
 
@@ -105,16 +105,9 @@ def matter_cycle_weight(state: ThermoState, mass: float, s: int) -> CycleWeight:
 
 def _exp_moment(power: float) -> float:
     """Integral of u**power * e**(-u) over [0, inf) to 1e-9 relative."""
-    from scipy.integrate import quad  # an oracle: keeps scipy out of `import cyclegas`
-
-    value, abserr = quad(
-        lambda u: u**power * math.exp(-u), 0.0, np.inf, epsabs=0.0, epsrel=1e-11
+    return _quad(
+        lambda u: u**power * math.exp(-u), math.inf, 1e-11, 1e-9, f"exponential moment {power}"
     )
-    if abserr > 1e-9 * abs(value):
-        raise ConvergenceError(
-            f"adaptive quadrature for exponential moment {power} reports error {abserr:g}"
-        )
-    return value
 
 
 def cycle_weight_by_quadrature(dispersion: Dispersion, state: ThermoState, s: int) -> CycleWeight:

@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ThermoState, bose_quadrature, riemann_zeta
+from .core import DomainError, SizeError, ThermoState, bose_quadrature, riemann_zeta
 from .core import _require_integer, _require_photon_fugacity
 from .cycle_weights import _photon_cycle_term
-from .partition import log_grand_partition_integral, tail_bracket
+from .partition import _closed_power_sum, log_grand_partition_integral
 
+DENSITY_CYCLE_SUM_S_MAX = 10**4
 MEAN_ENERGY_REL_STEP = 1e-5
 VARIANCE_REL_STEP = 1e-3
 WIEN_PEAK_TOL = 1e-13
@@ -71,8 +72,11 @@ class BandSpec:
 
 
 def mean_energy(state: ThermoState) -> float:
-    """Mean photon-gas energy 3*T*log Z = V * (pi^2/15) * T^4."""
-    return 3.0 * state.temperature * log_grand_partition_integral(state)
+    """Mean photon-gas energy 3*T*log Z = V * (pi^2/15) * T^4; SizeError past double range."""
+    energy = 3.0 * state.temperature * log_grand_partition_integral(state)
+    if math.isinf(energy):
+        raise SizeError(f"mean energy overflows at V = {state.volume:g}, T = {state.temperature:g}")
+    return energy
 
 
 def mean_energy_finite_difference(state: ThermoState) -> float:
@@ -90,21 +94,15 @@ def photon_number_density(state: ThermoState) -> float:
     return _photon_cycle_term(state.temperature) * riemann_zeta(3.0)
 
 
-def photon_number_density_cycle_sum(state: ThermoState, s_max: int = 10**4) -> float:
+def photon_number_density_cycle_sum(state: ThermoState) -> float:
     """The same density as sum_s f_s (an s-cycle holds s photons, weight f_s/s).
 
-    Truncated at s_max and closed with the midpoint of the integral bracket
-    on sum_{s > s_max} s**(-3); at the default s_max the certified error is
+    Truncated at DENSITY_CYCLE_SUM_S_MAX and closed with the midpoint of the
+    integral bracket on sum_{s > s_max} s**(-3); the certified error is
     below 1e-12 relative.
     """
     _require_photon_fugacity(state)
-    s_max = _require_integer("s_max", s_max, 1)
-    total = 0.0
-    for s in range(s_max, 0, -1):  # ascending magnitude for a tighter float sum
-        total += 1.0 / float(s) ** 3
-    lo, hi = tail_bracket(s_max, 3.0)
-    total += 0.5 * (lo + hi)
-    return _photon_cycle_term(state.temperature) * total
+    return _photon_cycle_term(state.temperature) * _closed_power_sum(DENSITY_CYCLE_SUM_S_MAX, 3.0)
 
 
 def coherence_volume_photon_count(state: ThermoState) -> float:
@@ -120,13 +118,18 @@ def energy_variance(state: ThermoState, s_max: int = 100) -> FluctuationReport:
     """Total energy variance d^2(log Z)/d(beta)^2 = 12*T^2*log Z.
 
     per_cycle_contribution[s] = 12*T^2*V*f_s/s for s up to s_max; the
-    remainder of the sum is certified by tail_bracket(s_max, 4).
+    remainder of the sum is certified by tail_bracket(s_max, 4).  The relative
+    fluctuation variance / mean**2 is exactly 4 / (3 log Z).  Raises SizeError
+    when any of the three leaves double precision.
     """
     s_max = _require_integer("s_max", s_max, 1)
     t = state.temperature
     log_z = log_grand_partition_integral(state)
     variance = 12.0 * t**2 * log_z
     mean = 3.0 * t * log_z
+    relative = 4.0 / (3.0 * log_z) if log_z > 0.0 else math.inf  # log Z underflows at tiny V T^3
+    if math.isinf(max(mean, variance, relative)):
+        raise SizeError(f"energy moments leave double precision at V = {state.volume:g}, T = {t:g}")
     s = np.arange(1, s_max + 1, dtype=float)
     shares = 12.0 * t**2 * _photon_cycle_term(t, state.volume, s, 4)
     per_cycle = dict(enumerate(shares.tolist(), start=1))
@@ -134,7 +137,7 @@ def energy_variance(state: ThermoState, s_max: int = 100) -> FluctuationReport:
         mean_energy=mean,
         variance=variance,
         per_cycle_contribution=per_cycle,
-        relative_fluctuation=variance / mean**2,
+        relative_fluctuation=relative,
     )
 
 

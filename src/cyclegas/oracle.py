@@ -2,10 +2,11 @@
 
 Everything here is exact up to floating point and deliberately dumb: the
 grand partition function as a literal product over modes, the canonical
-partition function as a literal sum over occupation vectors, and the same
-canonical function as a literal sum over permutation cycle types.  These
-three must agree with each other and with the cycle-sum recursion, which is
-how the cycle expansion is validated end to end.
+partition function as a sum over occupation vectors (its partial sums over
+the last modes tabulated), and the same canonical function as a literal sum
+over permutation cycle types.  These three must agree with each other and
+with the cycle-sum recursion, which is how the cycle expansion is validated
+end to end.
 
 Occupation enumeration and the mode product expand degeneracies into
 repeated modes internally, so a mode with degeneracy 2 and two coincident
@@ -143,8 +144,11 @@ def grand_partition_cycle(spectrum: ModeSpectrum, z: float, beta: float) -> floa
 def canonical_by_occupation(spectrum: ModeSpectrum, N: int, beta: float) -> float:
     """Sum of exp(-beta * sum_j n_j e_j) over all occupation vectors with sum n_j = N.
 
-    Pure enumeration over the degeneracy-expanded modes; the number of
-    vectors, binom(N + M - 1, N), is capped at 10^7 as a hard API limit.
+    Enumeration over the degeneracy-expanded modes; the number of vectors,
+    binom(N + M - 1, N), is capped at 10^7 as a hard API limit.  The sum over
+    modes j..M-1 holding n particles is shared by every occupation of modes
+    0..j-1, so it is tabulated once, from the last mode down, and each entry
+    is added up in the order of the plain enumeration: M (N + 1)^2 / 2 terms.
     """
     N = _require_integer("particle number N", N, 0)
     if N == 0:
@@ -157,16 +161,16 @@ def canonical_by_occupation(spectrum: ModeSpectrum, N: int, beta: float) -> floa
             f"{n_vectors} occupation vectors exceed the {OCCUPATION_VECTOR_LIMIT} limit"
         )
     weights = np.exp(-beta * energies)
-
-    def branch(j: int, n_left: int) -> float:
-        if j == m - 1:
-            return weights[j] ** n_left
-        acc = 0.0
-        for n in range(n_left + 1):
-            acc += weights[j] ** n * branch(j + 1, n_left - n)
-        return acc
-
-    return branch(0, N)
+    rest = [weights[-1] ** n_left for n_left in range(N + 1)]  # mode M-1 alone
+    for w in weights[-2::-1]:
+        below = rest
+        rest = []
+        for n_left in range(N + 1):
+            acc = 0.0
+            for n in range(n_left + 1):
+                acc += w**n * below[n_left - n]
+            rest.append(acc)
+    return rest[N]
 
 
 def canonical_by_permutations(spectrum: ModeSpectrum, N: int, beta: float) -> float:

@@ -29,8 +29,8 @@ from itertools import islice
 import numpy as np
 
 from .core import ConvergenceError, DomainError, SizeError, ThermoState, bose_integral, polylog
-from .core import _require_integer, _require_photon_fugacity
-from .cycle_weights import _photon_cycle_term
+from .core import _quad, _require_integer, _require_photon_fugacity
+from .cycle_weights import _photon_cycle_term, matter_cycle_weight
 
 ENUMERATION_LIMIT = 25  # p(25) = 1958 cycle types, factorials < 2**128
 GRAND_SUM_REL_CUTOFF = 1e-16
@@ -112,6 +112,13 @@ def tail_bracket(s_max: int, power: float):
     return lo, hi
 
 
+def _closed_power_sum(s_max: int, power: float) -> float:
+    """sum_{s >= 1} s**(-power): the terms up to s_max plus the midpoint of tail_bracket."""
+    lo, hi = tail_bracket(s_max, power)
+    s = np.arange(1, s_max + 1, dtype=float)
+    return float(np.sum(s ** (-power))) + 0.5 * (lo + hi)
+
+
 def log_grand_partition_integral(state: ThermoState) -> float:
     """log Z of the photon gas from the momentum integral of p^3/(e^p - 1).
 
@@ -128,23 +135,16 @@ def log_grand_partition_integral(state: ThermoState) -> float:
     return log_z
 
 
-def log_grand_partition_cycle_series(
-    state: ThermoState, s_max: int = CYCLE_SERIES_S_MAX, include_tail: bool = True
-) -> float:
+def log_grand_partition_cycle_series(state: ThermoState) -> float:
     """log Z of the photon gas as V * sum_s f_s / s.
 
-    With include_tail the truncated series is closed by the midpoint of the
-    two-sided integral bracket on sum_{s > s_max} s**(-4); at the default
-    s_max that bracket is narrower than 1e-12 of the sum, which brings the
-    result within 1e-10 relative of the integral route.
+    The series is truncated at CYCLE_SERIES_S_MAX and closed by the midpoint
+    of the two-sided integral bracket on sum_{s > s_max} s**(-4); that
+    bracket is narrower than 1e-12 of the sum, which brings the result
+    within 1e-10 relative of the integral route.
     """
     _require_photon_fugacity(state)
-    s_max = _require_integer("s_max", s_max, 1)
-    s = np.arange(1, s_max + 1, dtype=float)
-    total = float(np.sum(s ** (-4.0)))
-    if include_tail:
-        lo, hi = tail_bracket(s_max, 4.0)
-        total += 0.5 * (lo + hi)
+    total = _closed_power_sum(CYCLE_SERIES_S_MAX, 4.0)
     return _photon_cycle_term(state.temperature, state.volume) * total
 
 
@@ -161,18 +161,13 @@ def log_grand_partition_product_form(state: ThermoState, s_max: int) -> np.ndarr
     return np.cumsum(_photon_cycle_term(state.temperature, state.volume, s, 4))
 
 
-def grand_partition_product_form(state: ThermoState, s_max: int) -> np.ndarray:
-    """Partial products of Z = prod_s sum_xi (V f_s / s)**xi / xi!.
-
-    Linear-space view of log_grand_partition_product_form; overflows double
-    precision once log Z exceeds ~709, so use the log form for large V*T^3.
-    """
-    return np.exp(log_grand_partition_product_form(state, s_max))
-
-
 @lru_cache(maxsize=None, typed=True)  # typed: True must reach the check, not a cached np.int64(1)
 def cycle_types(n: int):
-    """All integer partitions of n as tuples of (cycle size, multiplicity)."""
+    """All integer partitions of n as tuples of (cycle size, multiplicity).
+
+    Checks, once per n, that n!/(prod_s xi_s! s**xi_s) permutations of each
+    type is an integer and that these counts sum to n!.
+    """
     n = _require_integer("n", n, 0)
 
     def generate(remaining, largest):
@@ -185,16 +180,12 @@ def cycle_types(n: int):
                 grown[part] = grown.get(part, 0) + 1
                 yield grown
 
-    return tuple(tuple(sorted(d.items())) for d in generate(n, n))
-
-
-def canonical_partition_recursive(C: CycleSumSequence, N: int) -> float:
-    """Z_N from Z_0 = 1, Z_N = (1/N) sum_{k=1..N} C_k Z_{N-k}.
-
-    This closed recursion evaluates the full sum over cycle distributions
-    without enumerating them.
-    """
-    return canonical_partition_table(C, N)[N]
+    types = tuple(tuple(sorted(d.items())) for d in generate(n, n))
+    fact_n = math.factorial(n)
+    counts = [divmod(fact_n, math.prod(math.factorial(xi) * s**xi for s, xi in t)) for t in types]
+    if any(remainder for _count, remainder in counts) or sum(c for c, _r in counts) != fact_n:
+        raise RuntimeError(f"cycle-type counts of {n} are not integers summing to {n}! = {fact_n}")
+    return types
 
 
 def _canonical_recursion(C: CycleSumSequence):
@@ -225,9 +216,9 @@ def canonical_partition_enumerated(C: CycleSumSequence, N: int):
     """Z_N as an explicit sum over all cycle distributions of N particles.
 
     Returns (total, breakdown) where breakdown lists each CycleDistribution
-    with its weight prod_s C_s**xi_s / (xi_s! * s**xi_s).  Along the way the
-    cycle-type counting identity sum over distributions of
-    N!/(prod_s xi_s! s**xi_s) = N! is verified in exact integer arithmetic.
+    with its weight prod_s C_s**xi_s / (xi_s! * s**xi_s).  cycle_types
+    verifies the counting identity sum over distributions of
+    N!/(prod_s xi_s! s**xi_s) = N! behind these weights.
     """
     N = _require_integer("particle number N", N, 0)
     if N > ENUMERATION_LIMIT:
@@ -236,25 +227,15 @@ def canonical_partition_enumerated(C: CycleSumSequence, N: int):
         )
     if N > 0 and C.s_max < N:
         raise DomainError(f"need cycle sums up to s = {N}, have s_max = {C.s_max}")
-    fact_n = math.factorial(N)
+    c = C.values.tolist()
     total = 0.0
-    count_total = 0
     breakdown = []
     for ctype in cycle_types(N):
         weight = 1.0
-        denominator = 1
         for s, xi in ctype:
-            weight *= C[s] ** xi / (math.factorial(xi) * float(s) ** xi)
-            denominator *= math.factorial(xi) * s**xi
-        if fact_n % denominator:
-            raise RuntimeError(f"cycle-type count for {ctype} is not an integer")
-        count_total += fact_n // denominator
+            weight *= c[s - 1] ** xi / (math.factorial(xi) * float(s) ** xi)
         total += weight
         breakdown.append((CycleDistribution(dict(ctype), N), weight))
-    if count_total != fact_n:
-        raise RuntimeError(
-            f"cycle-type counts sum to {count_total}, expected {N}! = {fact_n}"
-        )
     return total, breakdown
 
 
@@ -282,13 +263,11 @@ def grand_partition_from_canonical(C: CycleSumSequence, z: float) -> float:
 def bose_number_density_cycle(state: ThermoState, mass: float) -> float:
     """Massive-boson number density from the fugacity-weighted cycle sum.
 
-    n = sum_s z**s f'_s = (m T / 2 pi)^(3/2) * g_{3/2}(z).  At z = 1 the
-    series still converges (to zeta(3/2)); z > 1 is rejected upstream.
+    n = sum_s z**s f'_s = f'_1 * g_{3/2}(z), with f'_1 = (m T / 2 pi)^(3/2).
+    At z = 1 the series still converges (to zeta(3/2)); z > 1 is rejected
+    upstream.
     """
-    if not mass > 0.0:
-        raise DomainError(f"mass must be > 0, got {mass}")
-    scale = (mass * state.temperature / (2.0 * math.pi)) ** 1.5
-    return scale * polylog(1.5, state.fugacity)
+    return matter_cycle_weight(state, mass, 1).value * polylog(1.5, state.fugacity)
 
 
 def bose_number_density_integral(state: ThermoState, mass: float) -> float:
@@ -297,8 +276,6 @@ def bose_number_density_integral(state: ThermoState, mass: float) -> float:
     Integrates 4 pi p^2 dp/(2 pi)^3 * z e^{-beta p^2/2m} / (1 - z e^{-beta
     p^2/2m}) by adaptive quadrature after substituting u = p sqrt(beta/2m).
     """
-    from scipy.integrate import quad  # an oracle: keeps scipy out of `import cyclegas`
-
     if not mass > 0.0:
         raise DomainError(f"mass must be > 0, got {mass}")
     z = state.fugacity
@@ -318,10 +295,6 @@ def bose_number_density_integral(state: ThermoState, mass: float) -> float:
             w = z * math.exp(-u * u)
             return u * u * w / (1.0 - w)
 
-    value, abserr = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-11, limit=200)
-    if abserr > 1e-9 * abs(value):
-        raise ConvergenceError(
-            f"Bose density quadrature at z = {z} reports error {abserr:g}"
-        )
+    value = _quad(integrand, math.inf, 1e-11, 1e-9, f"the Bose density at z = {z}")
     scale = (2.0 * mass * state.temperature) ** 1.5 / (2.0 * math.pi**2)
     return scale * value

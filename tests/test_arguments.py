@@ -95,7 +95,6 @@ BAND = cg.BandSpec.from_mode_count(0.5, 0.025, 100.0)
 
 REFUSED_CALLS = {
     "product form s_max 2.5": lambda: cg.log_grand_partition_product_form(T1, 2.5),
-    "cycle series s_max 2.5": lambda: cg.log_grand_partition_cycle_series(T1, 2.5),
     "table N True": lambda: cg.canonical_partition_table(SUMS, True),
     "photon weight s True": lambda: cg.photon_cycle_weight(T1, True),
     "bose_integral True": lambda: cg.bose_integral(True),
@@ -149,6 +148,14 @@ OVERFLOWING_CALLS = {
     "energy variance, V T^3 1e309": lambda: cg.energy_variance(HUGE),
     "cycle series, V T^3 1e309": lambda: cg.log_grand_partition_cycle_series(HUGE),
     "product form, V T^3 1e309": lambda: cg.log_grand_partition_product_form(HUGE, 5),
+    # log Z is finite (2.2e305), but 3 T log Z is not
+    "mean energy, 3 T log Z 7e308": lambda: cg.mean_energy(cg.ThermoState(1e3, 1e297)),
+    "energy variance, 3 T log Z 7e308": lambda: cg.energy_variance(cg.ThermoState(1e3, 1e297)),
+    # the mean energy is finite (6.6e306), the variance is not
+    "energy variance, 12 T^2 log Z 3e310": lambda: cg.energy_variance(cg.ThermoState(1e3, 1e295)),
+    # 4 / (3 log Z) overflows, or log Z underflows to 0
+    "energy variance, log Z 2e-310": lambda: cg.energy_variance(cg.ThermoState(1e-3, 1e-300)),
+    "energy variance, log Z 0": lambda: cg.energy_variance(cg.ThermoState(1e-3, 1e-320)),
 }
 
 
@@ -162,3 +169,12 @@ def test_sizes_just_inside_the_range_stay_finite():
     state = cg.ThermoState(1e3, 1e290)
     assert math.isfinite(cg.mean_energy(state))
     assert math.isfinite(cg.log_grand_partition_cycle_series(state))
+
+
+def test_relative_fluctuation_past_the_square_of_the_mean():
+    # mean**2 overflows at this state; variance / mean**2 = 4 / (3 log Z) does not
+    state = cg.ThermoState(1.0, 1e160)
+    report = cg.energy_variance(state)
+    assert report.relative_fluctuation == 4.0 / (3.0 * cg.log_grand_partition_integral(state))
+    ratio = report.variance / report.mean_energy / report.mean_energy
+    assert abs(report.relative_fluctuation - ratio) <= 1e-15 * ratio

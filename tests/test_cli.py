@@ -183,6 +183,13 @@ class TestSampleCommand:
         assert code == 0
         assert out.startswith("s,photon_count\n")
 
+    def test_si_config_is_echoed_in_si(self, capsys):
+        argv = ["sample", "--units", "si", "--temperature", "300", "--volume", "1e-18", "--replicas", "3"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["temperature"], config["volume"]) == (300, 1e-18)
+
     @pytest.mark.parametrize("flags", [["--fugacity", "0.5"], ["--seed", "-1"]])
     def test_rejected_config_is_a_usage_error(self, capsys, flags):
         code, out, err = run(capsys, ["sample", "--replicas", "2", "--s-max", "5", *flags])

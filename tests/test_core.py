@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 
 from cyclegas.core import (
+    ConvergenceError,
     DomainError,
     ThermoState,
     UnitsPolicy,
@@ -13,6 +16,8 @@ from cyclegas.core import (
     polylog,
     riemann_zeta,
 )
+from cyclegas.cycle_weights import Dispersion, cycle_weight_by_quadrature
+from cyclegas.partition import bose_number_density_integral
 
 
 def rel(a, b):
@@ -97,6 +102,39 @@ class TestBoseIntegral:
         # the order must be an integer >= 1; a bool is not taken for n = 1
         with pytest.raises(DomainError):
             bose_quadrature(n)
+
+
+# Each oracle behind the one quadrature gate: the quantity its ConvergenceError
+# names, the call, and the largest accepted error relative to the value.
+QUADRATURE_GATES = {
+    "bose_quadrature(3)": (lambda: bose_quadrature(3), 1e-10),
+    "exponential moment 2.0": (
+        lambda: cycle_weight_by_quadrature(Dispersion.photon(), ThermoState(1.0), 1), 1e-9
+    ),
+    "the Bose density at z = 0.5": (
+        lambda: bose_number_density_integral(ThermoState(1.0, fugacity=0.5), 2.0 * math.pi), 1e-9
+    ),
+}
+
+
+class TestQuadratureGate:
+    @pytest.mark.parametrize("what", QUADRATURE_GATES)
+    def test_error_estimate_past_the_gate_raises(self, what, monkeypatch):
+        call, accept = QUADRATURE_GATES[what]
+        real_quad = scipy.integrate.quad
+
+        def quad_reporting(factor):
+            def quad(*args, **kwargs):
+                value, _abserr = real_quad(*args, **kwargs)
+                return value, factor * accept * abs(value)
+
+            return quad
+
+        monkeypatch.setattr(scipy.integrate, "quad", quad_reporting(0.5))
+        call()
+        monkeypatch.setattr(scipy.integrate, "quad", quad_reporting(1.5))
+        with pytest.raises(ConvergenceError, match=re.escape(what)):
+            call()
 
 
 class TestThermoState:

@@ -13,7 +13,7 @@ from cyclegas.oracle import (
     grand_partition_product,
     load_spectrum,
 )
-from cyclegas.partition import canonical_partition_recursive, grand_partition_from_canonical
+from cyclegas.partition import canonical_partition_table, grand_partition_from_canonical
 
 
 def rel(a, b):
@@ -85,6 +85,12 @@ class TestCanonicalByOccupation:
         with pytest.raises(SizeError):
             canonical_by_occupation(spectrum, 40, 1.0)
 
+    def test_thousands_of_modes(self):
+        # one recursion level per mode would pass Python's recursion limit here
+        spectrum = ModeSpectrum.from_modes(np.linspace(0.1, 1.0, 1500), np.full(1500, 2))
+        recursion = canonical_partition_table(spectrum.cycle_sums(1.0, 2), 2)[2]
+        assert rel(canonical_by_occupation(spectrum, 2, 1.0), recursion) <= 1e-12
+
 
 class TestCanonicalByPermutations:
     def test_two_mode_cycle_type_sum(self):
@@ -125,9 +131,7 @@ class TestTripleAgreement:
             for beta in (0.5, 1.0, 2.0):
                 occupation = canonical_by_occupation(spectrum, n, beta)
                 permutation = canonical_by_permutations(spectrum, n, beta)
-                recursion = canonical_partition_recursive(
-                    spectrum.cycle_sums(beta, max(n, 1)), n
-                )
+                recursion = canonical_partition_table(spectrum.cycle_sums(beta, max(n, 1)), n)[n]
                 assert rel(permutation, occupation) <= 1e-12
                 assert rel(recursion, occupation) <= 1e-12
 

@@ -11,11 +11,9 @@ from cyclegas.partition import (
     bose_number_density_cycle,
     bose_number_density_integral,
     canonical_partition_enumerated,
-    canonical_partition_recursive,
     canonical_partition_table,
     cycle_types,
     grand_partition_from_canonical,
-    grand_partition_product_form,
     log_grand_partition_cycle_series,
     log_grand_partition_integral,
     log_grand_partition_product_form,
@@ -57,11 +55,12 @@ class TestLogPartitionRoutes:
         assert width(CYCLE_SERIES_S_MAX) <= 1e-12 < width(CYCLE_SERIES_S_MAX // 2)
         assert CYCLE_SERIES_S_MAX in [64 * 2**k for k in range(10)]
 
+    # the raw partial sums of the series are the product form's running logs
     def test_series_single_term(self):
-        assert log_grand_partition_cycle_series(T1V1, s_max=1, include_tail=False) == F1
+        assert log_grand_partition_product_form(T1V1, 1)[0] == F1
 
     def test_series_two_terms(self):
-        value = log_grand_partition_cycle_series(T1V1, s_max=2, include_tail=False)
+        value = log_grand_partition_product_form(T1V1, 2)[1]
         assert rel(value, F1 + F1 / 16.0) <= 1e-15
         assert rel(value, 0.21530751523996777) <= 1e-15
 
@@ -81,16 +80,16 @@ class TestLogPartitionRoutes:
 
 class TestProductForm:
     def test_first_factor_is_exp_f1(self):
-        products = grand_partition_product_form(T1V1, 3)
+        products = np.exp(log_grand_partition_product_form(T1V1, 3))
         assert rel(products[0], math.exp(F1)) <= 1e-13
         assert rel(products[0], 1.2246344205889663) <= 1e-13
 
     def test_two_factor_product(self):
-        products = grand_partition_product_form(T1V1, 2)
+        products = np.exp(log_grand_partition_product_form(T1V1, 2))
         assert rel(products[1], math.exp(F1 + F1 / 16.0)) <= 1e-13
 
     def test_monotone_increasing_toward_z(self):
-        products = grand_partition_product_form(T1V1, 200)
+        products = np.exp(log_grand_partition_product_form(T1V1, 200))
         assert np.all(np.diff(products) > 0.0)
         z = math.exp(log_grand_partition_integral(T1V1))
         assert np.all(products < z)
@@ -98,7 +97,7 @@ class TestProductForm:
         assert products[-1] / products[-2] - 1.0 < 1e-9
 
     def test_tail_bracket_certifies_truncation(self):
-        products = grand_partition_product_form(T1V1, 50)
+        products = np.exp(log_grand_partition_product_form(T1V1, 50))
         log_z = log_grand_partition_integral(T1V1)
         deficit = log_z - math.log(products[-1])
         lo, hi = tail_bracket(50, 4.0)
@@ -136,12 +135,12 @@ class TestProductForm:
 class TestCanonicalRecursion:
     def test_hand_enumerated_example(self):
         sums = CycleSumSequence(values=np.array([2.0, 0.5]))
-        assert canonical_partition_recursive(sums, 2) == 2.25
+        assert canonical_partition_table(sums, 2)[2] == 2.25
 
     def test_base_cases(self):
         sums = CycleSumSequence(values=np.array([3.7]))
-        assert canonical_partition_recursive(sums, 0) == 1.0
-        assert canonical_partition_recursive(sums, 1) == 3.7
+        assert canonical_partition_table(sums, 0)[0] == 1.0
+        assert canonical_partition_table(sums, 1)[1] == 3.7
 
     def test_table_prefix_property(self):
         rng = np.random.default_rng(11)
@@ -149,12 +148,12 @@ class TestCanonicalRecursion:
         table = canonical_partition_table(sums, 10)
         assert table[0] == 1.0
         for n in range(11):
-            assert table[n] == canonical_partition_recursive(sums, n)
+            assert table[n] == canonical_partition_table(sums, n)[n]
 
     def test_needs_enough_cycle_sums(self):
         sums = CycleSumSequence(values=np.array([1.0, 1.0]))
         with pytest.raises(DomainError):
-            canonical_partition_recursive(sums, 3)
+            canonical_partition_table(sums, 3)
 
 
 class TestCanonicalEnumeration:
@@ -186,7 +185,7 @@ class TestCanonicalEnumeration:
             sums = CycleSumSequence(values=rng.uniform(0.05, 3.0, size=25))
             for n in (5, 12, 25):
                 total, _ = canonical_partition_enumerated(sums, n)
-                assert rel(total, canonical_partition_recursive(sums, n)) <= 1e-12
+                assert rel(total, canonical_partition_table(sums, n)[n]) <= 1e-12
 
     def test_size_limit(self):
         sums = CycleSumSequence(values=np.ones(30))
