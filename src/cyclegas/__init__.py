@@ -14,7 +14,6 @@ from .core import (
     riemann_zeta,
 )
 from .cycle_weights import (
-    CycleWeight,
     Dispersion,
     cycle_weight_by_quadrature,
     decay_comparison,

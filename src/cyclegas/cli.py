@@ -9,7 +9,7 @@ conversion happens only at this boundary.
 Exit codes: 0 success, 2 usage error (a flag the command does not read,
 or flags that do not go together, such as --mass without --dispersion
 massive), 1 computational error (failed verification, quadrature
-breakdown).  Errors go to stderr with the prefix "ERROR <code>:".
+failure).  Errors go to stderr with the prefix "ERROR <code>:".
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -132,14 +133,11 @@ def cmd_weights(args, units: UnitsPolicy) -> str:
         raise DomainError("--s-max must be >= 1")
     if (args.dispersion == "massive") != (args.mass is not None):
         raise DomainError("--dispersion massive and --mass must be given together")
-    rows = []
     if args.dispersion == "massive":
-        mass = units.mass_from_si(args.mass)
-        for s in range(1, args.s_max + 1):
-            rows.append((s, units.number_density_to_si(matter_cycle_weight(state, mass, s).value)))
+        weight = partial(matter_cycle_weight, state, units.mass_from_si(args.mass))
     else:
-        for s in range(1, args.s_max + 1):
-            rows.append((s, units.number_density_to_si(photon_cycle_weight(state, s).value)))
+        weight = partial(photon_cycle_weight, state)
+    rows = [(s, units.number_density_to_si(weight(s))) for s in range(1, args.s_max + 1)]
     return _table_text(("s", "f_s"), rows, args.format)
 
 
@@ -160,7 +158,7 @@ def cmd_partition(args, units: UnitsPolicy) -> str:
     partial_logs = partition.log_grand_partition_product_form(state, s_max)
     rows = []
     for s in range(1, s_max + 1):
-        f_s = photon_cycle_weight(state, s).value
+        f_s = photon_cycle_weight(state, s)
         rows.append((s, units.number_density_to_si(f_s), partial_logs[s - 1], log_z))
     return _table_text(("s", "f_s", "log_z_partial", "log_z_integral"), rows, args.format)
 
@@ -173,14 +171,8 @@ def cmd_spectrum(args, units: UnitsPolicy) -> str:
     for x in np.linspace(args.x_min, args.x_max, args.points):
         nu = x * state.temperature / (2.0 * math.pi)
         u = observables.planck_spectral_density(state, nu)
-        rows.append(
-            (
-                units.frequency_to_si(nu),
-                units.spectral_density_to_si(u),
-                x,
-                x**3 / math.expm1(x),
-            )
-        )
+        planck_x = x**3 * observables._planck_occupation(x)
+        rows.append((units.frequency_to_si(nu), units.spectral_density_to_si(u), x, planck_x))
     return _table_text(("nu", "u_nu", "x", "planck_x"), rows, args.format)
 
 
@@ -276,7 +268,7 @@ def _verify_checks(seed: int):
         values = rng.uniform(0.1, 2.0, size=12)
         sums = partition.CycleSumSequence(values=values)
         rec = partition.canonical_partition_table(sums, 12)[12]
-        enum, _breakdown = partition.canonical_partition_enumerated(sums, 12)
+        enum = partition.canonical_partition_enumerated(sums, 12)[0]
         dev = np.max([dev, abs(rec - enum) / abs(rec)])
     checks.append(("recursion vs enumeration Z_N", dev <= 1e-12, f"max rel dev {dev:.2e}"))
 

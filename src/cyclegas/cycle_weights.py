@@ -29,25 +29,15 @@ TWO_OVER_PI_SQUARED = 2.0 / math.pi**2
 
 
 @dataclass(frozen=True)
-class CycleWeight:
-    """Weight of an s-cycle: `value` has units (length)^-3."""
-
-    s: int
-    value: float
-
-
-@dataclass(frozen=True)
 class Dispersion:
     """Single-particle energy law plus internal degeneracy.
 
     kind "photon" means energy(p) = p with two helicity states; kind
-    "massive" means energy(p) = p^2 / (2 mass) with degeneracy 1 unless
-    overridden.
+    "massive" means energy(p) = p^2 / (2 mass) with one internal state.
     """
 
     kind: str
     mass: float | None = None
-    internal_degeneracy: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("photon", "massive"):
@@ -55,19 +45,18 @@ class Dispersion:
         if self.kind == "massive":
             if self.mass is None or not self.mass > 0.0:
                 raise DomainError("massive dispersion requires mass > 0")
-        if self.internal_degeneracy is None:
-            default = 2 if self.kind == "photon" else 1
-            object.__setattr__(self, "internal_degeneracy", default)
-        elif self.internal_degeneracy < 1:
-            raise DomainError("internal_degeneracy must be >= 1")
+
+    @property
+    def internal_degeneracy(self) -> int:
+        return 2 if self.kind == "photon" else 1
 
     @classmethod
-    def photon(cls, internal_degeneracy: int | None = None) -> "Dispersion":
-        return cls(kind="photon", internal_degeneracy=internal_degeneracy)
+    def photon(cls) -> "Dispersion":
+        return cls(kind="photon")
 
     @classmethod
-    def massive(cls, mass: float, internal_degeneracy: int | None = None) -> "Dispersion":
-        return cls(kind="massive", mass=mass, internal_degeneracy=internal_degeneracy)
+    def massive(cls, mass: float) -> "Dispersion":
+        return cls(kind="massive", mass=mass)
 
 
 def _photon_cycle_term(temperature, volume=1.0, s=1.0, power=0.0):
@@ -87,20 +76,19 @@ def _photon_cycle_term(temperature, volume=1.0, s=1.0, power=0.0):
     return prefactor / s**power
 
 
-def photon_cycle_weight(state: ThermoState, s: int) -> CycleWeight:
-    """Closed-form photon cycle weight (2/pi^2) * T^3 / s^3."""
+def photon_cycle_weight(state: ThermoState, s: int) -> float:
+    """Closed-form photon cycle weight (2/pi^2) * T^3 / s^3, in (length)^-3."""
     _require_photon_fugacity(state)
     s = _require_integer("cycle size s", s, 1)
-    return CycleWeight(s=s, value=_photon_cycle_term(state.temperature, s=s, power=3))
+    return _photon_cycle_term(state.temperature, s=s, power=3)
 
 
-def matter_cycle_weight(state: ThermoState, mass: float, s: int) -> CycleWeight:
-    """Closed-form matter-wave cycle weight (m T / 2 pi)^(3/2) / s^(3/2)."""
+def matter_cycle_weight(state: ThermoState, mass: float, s: int) -> float:
+    """Closed-form matter-wave cycle weight (m T / 2 pi)^(3/2) / s^(3/2), in (length)^-3."""
     s = _require_integer("cycle size s", s, 1)
     if not mass > 0.0:
         raise DomainError(f"mass must be > 0, got {mass}")
-    value = (mass * state.temperature / (2.0 * math.pi)) ** 1.5 / s**1.5
-    return CycleWeight(s=s, value=value)
+    return (mass * state.temperature / (2.0 * math.pi)) ** 1.5 / s**1.5
 
 
 def _exp_moment(power: float) -> float:
@@ -110,7 +98,7 @@ def _exp_moment(power: float) -> float:
     )
 
 
-def cycle_weight_by_quadrature(dispersion: Dispersion, state: ThermoState, s: int) -> CycleWeight:
+def cycle_weight_by_quadrature(dispersion: Dispersion, state: ThermoState, s: int) -> float:
     """Numerical momentum integral g * int exp(-beta*energy(p)*s) 4 pi p^2 dp/(2 pi)^3.
 
     The substitution u = beta * energy(p) * s removes every parameter from
@@ -124,12 +112,10 @@ def cycle_weight_by_quadrature(dispersion: Dispersion, state: ThermoState, s: in
     if dispersion.kind == "photon":
         # p = u/(beta s):  p^2 dp -> (beta s)^-3 u^2 du
         moment = _exp_moment(2.0)
-        value = g / (2.0 * math.pi**2) * (state.temperature / s) ** 3 * moment
-    else:
-        # u = beta s p^2/(2m):  p^2 dp -> (2m/(beta s))^(3/2) sqrt(u)/2 du
-        moment = _exp_moment(0.5)
-        value = g / (4.0 * math.pi**2) * (2.0 * dispersion.mass / (beta * s)) ** 1.5 * moment
-    return CycleWeight(s=s, value=value)
+        return g / (2.0 * math.pi**2) * (state.temperature / s) ** 3 * moment
+    # u = beta s p^2/(2m):  p^2 dp -> (2m/(beta s))^(3/2) sqrt(u)/2 du
+    moment = _exp_moment(0.5)
+    return g / (4.0 * math.pi**2) * (2.0 * dispersion.mass / (beta * s)) ** 1.5 * moment
 
 
 def decay_comparison(s_max: int) -> np.ndarray:
@@ -140,13 +126,13 @@ def decay_comparison(s_max: int) -> np.ndarray:
     """
     s_max = _require_integer("s_max", s_max, 2)
     state = ThermoState(temperature=1.0)
-    f1 = photon_cycle_weight(state, 1).value
-    fp1 = matter_cycle_weight(state, 2.0 * math.pi, 1).value
+    f1 = photon_cycle_weight(state, 1)
+    fp1 = matter_cycle_weight(state, 2.0 * math.pi, 1)
     rows = np.empty((s_max, 3))
     for s in range(1, s_max + 1):
         rows[s - 1, 0] = s
-        rows[s - 1, 1] = photon_cycle_weight(state, s).value / f1
-        rows[s - 1, 2] = matter_cycle_weight(state, 2.0 * math.pi, s).value / fp1
+        rows[s - 1, 1] = photon_cycle_weight(state, s) / f1
+        rows[s - 1, 2] = matter_cycle_weight(state, 2.0 * math.pi, s) / fp1
     if not np.all(rows[1:, 1] < rows[1:, 2]):
         raise AssertionError("photon cycle weights must decay faster than matter ones")
     log_s = np.log(rows[:, 0])

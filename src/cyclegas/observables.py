@@ -163,7 +163,8 @@ def band_fluctuation(state: ThermoState, band: BandSpec):
 
     Returns (relative_fluctuation, wave_term, particle_term) with
     relative = <dE^2>/<E>^2, particle = h*nu/<E>, wave = 1/(rho * dnu).
-    The identity relative = particle + wave is exact.
+    The identity relative = particle + wave is exact.  Raises SizeError deep
+    in the Wien tail, where the occupation or <E>^2 underflows.
     """
     _require_photon_fugacity(state)
     modes = band.mode_count()
@@ -172,21 +173,37 @@ def band_fluctuation(state: ThermoState, band: BandSpec):
             f"degenerate band: mode count rho*dnu = {modes:g} is below 1"
         )
     photon_energy = 2.0 * math.pi * band.nu  # h*nu with hbar = 1
-    occupation = 1.0 / math.expm1(photon_energy / state.temperature)
+    x = photon_energy / state.temperature
+    occupation = _planck_occupation(x)
     mean = modes * photon_energy * occupation
+    if not mean**2 > 0.0:
+        raise SizeError(f"band fluctuation leaves double precision at h nu / kT = {x:g}")
     variance = modes * photon_energy**2 * occupation * (occupation + 1.0)
     return variance / mean**2, 1.0 / modes, photon_energy / mean
+
+
+def _planck_occupation(x: float) -> float:
+    """1/(e^x - 1) at x = h nu / k T; once e^x overflows it equals e^-x to double precision."""
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:
+        return math.exp(-x)
 
 
 def planck_spectral_density(state: ThermoState, nu: float) -> float:
     """Planck energy density per unit frequency, u(nu) = 16 pi^2 nu^3 / (e^{2 pi nu/T} - 1).
 
-    This is (8 pi h nu^3 / c^3) / (e^{h nu / k T} - 1) in natural units.
+    This is (8 pi h nu^3 / c^3) / (e^{h nu / k T} - 1) in natural units.  Raises
+    SizeError where it is not finite, as at a subnormal h nu / k T.
     """
     _require_photon_fugacity(state)
     if not nu > 0.0:
         raise DomainError(f"frequency must be > 0, got {nu}")
-    return 16.0 * math.pi**2 * nu**3 / math.expm1(2.0 * math.pi * nu / state.temperature)
+    x = 2.0 * math.pi * nu / state.temperature
+    density = 16.0 * math.pi**2 * nu**3 * _planck_occupation(x)
+    if not math.isfinite(density):
+        raise SizeError(f"Planck density leaves double precision at h nu / kT = {x:g}")
+    return density
 
 
 def spectral_energy_density_integral(state: ThermoState) -> float:

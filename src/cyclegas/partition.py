@@ -215,8 +215,8 @@ def canonical_partition_table(C: CycleSumSequence, N: int) -> np.ndarray:
 def canonical_partition_enumerated(C: CycleSumSequence, N: int):
     """Z_N as an explicit sum over all cycle distributions of N particles.
 
-    Returns (total, breakdown) where breakdown lists each CycleDistribution
-    with its weight prod_s C_s**xi_s / (xi_s! * s**xi_s).  cycle_types
+    Returns (total, weights) where weights[i] is the weight
+    prod_s C_s**xi_s / (xi_s! * s**xi_s) of cycle_types(N)[i].  cycle_types
     verifies the counting identity sum over distributions of
     N!/(prod_s xi_s! s**xi_s) = N! behind these weights.
     """
@@ -229,14 +229,14 @@ def canonical_partition_enumerated(C: CycleSumSequence, N: int):
         raise DomainError(f"need cycle sums up to s = {N}, have s_max = {C.s_max}")
     c = C.values.tolist()
     total = 0.0
-    breakdown = []
+    weights = []
     for ctype in cycle_types(N):
         weight = 1.0
         for s, xi in ctype:
             weight *= c[s - 1] ** xi / (math.factorial(xi) * float(s) ** xi)
-        total += weight
-        breakdown.append((CycleDistribution(dict(ctype), N), weight))
-    return total, breakdown
+        total += weight  # sequential: math.fsum or 3.12's sum would round differently
+        weights.append(weight)
+    return total, tuple(weights)
 
 
 def grand_partition_from_canonical(C: CycleSumSequence, z: float) -> float:
@@ -267,7 +267,7 @@ def bose_number_density_cycle(state: ThermoState, mass: float) -> float:
     At z = 1 the series still converges (to zeta(3/2)); z > 1 is rejected
     upstream.
     """
-    return matter_cycle_weight(state, mass, 1).value * polylog(1.5, state.fugacity)
+    return matter_cycle_weight(state, mass, 1) * polylog(1.5, state.fugacity)
 
 
 def bose_number_density_integral(state: ThermoState, mass: float) -> float:

@@ -181,15 +181,15 @@ def estimate_observables(config: SampleConfig) -> SampleReport:
     )
 
 
-def histogram_loglog_slope(histogram: dict, s_min: int = 1, s_max: int = 8) -> float:
-    """Weighted least-squares slope of log(photon count) against log(s).
+def histogram_loglog_slope(histogram: dict) -> float:
+    """Weighted least-squares slope of log(photon count) against log(s), s = 1..8.
 
     Weights follow the Poisson error of the underlying cycle counts
     (photons arrive s at a time, so the count of s-cycles sets the
     uncertainty).  For the photon gas the slope estimates the exponent of
     the 1/s^3 law.
     """
-    sizes = [s for s in range(s_min, s_max + 1) if histogram.get(s, 0) > 0]
+    sizes = [s for s in range(1, 9) if histogram.get(s, 0) > 0]
     if len(sizes) < 2:
         raise DomainError("need at least two occupied histogram bins")
     counts = np.array([histogram[s] for s in sizes], dtype=float)

@@ -187,7 +187,7 @@ def test_criterion_10_inverse_cube_photon_distribution(mc_report):
         sampled, _config = mc_report
         for s in range(1, 9):
             assert sampled.histogram[s] >= 1000
-        slope = cg.histogram_loglog_slope(sampled.histogram, s_min=1, s_max=8)
+        slope = cg.histogram_loglog_slope(sampled.histogram)
         assert abs(slope + 3.0) <= 0.05
         rows = cg.decay_comparison(32)
         assert np.all(rows[1:, 1] < rows[1:, 2])

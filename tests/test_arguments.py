@@ -128,6 +128,7 @@ def test_library_refuses(call):
         ["density", "--volume", "9"],
         ["partition", "--s-max", "2", "--n-max", "5"],
         ["partition", "--spectrum-file", MODES, "--n-max", "3", "--s-max", "7", "--volume", "4"],
+        ["fluctuations", "--nu", "500", "--delta-nu", "1"],  # h nu / kT = 3142
     ],
     ids=lambda argv: " ".join("F" if arg == MODES else arg for arg in argv),
 )
@@ -156,6 +157,17 @@ OVERFLOWING_CALLS = {
     # 4 / (3 log Z) overflows, or log Z underflows to 0
     "energy variance, log Z 2e-310": lambda: cg.energy_variance(cg.ThermoState(1e-3, 1e-300)),
     "energy variance, log Z 0": lambda: cg.energy_variance(cg.ThermoState(1e-3, 1e-320)),
+    # the occupation underflows to 0 past h nu / kT ~ 745; <E>^2 does before it
+    "band fluctuation, h nu / kT 1257": lambda: cg.band_fluctuation(
+        cg.ThermoState(1.0), cg.BandSpec(nu=200.0, delta_nu=1.0, volume=1.0)
+    ),
+    "band fluctuation, <E>^2 underflows": lambda: cg.band_fluctuation(
+        cg.ThermoState(1.0), cg.BandSpec(nu=100.0, delta_nu=1.0, volume=1.0)
+    ),
+    # h nu / kT = 6e-320 is subnormal and its occupation overflows; u(nu) is 2.5e-39
+    "Planck density, h nu / kT 6e-320": lambda: cg.planck_spectral_density(
+        cg.ThermoState(1e200), 1e-120
+    ),
 }
 
 

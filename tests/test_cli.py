@@ -99,6 +99,12 @@ class TestSpectrumCommand:
             assert abs(planck_x - x**3 / (math.exp(x) - 1.0)) < 1e-7
             assert abs(nu - x / (2.0 * math.pi)) < 1e-9
 
+    def test_wien_tail_past_exp_overflow(self, capsys):
+        code, out, _ = run(capsys, ["spectrum", "--points", "3", "--x-max", "800"])
+        assert code == 0
+        last = out.strip().split("\n")[-1]
+        assert [float(v) for v in last.split(",")[1:]] == [0.0, 800.0, 0.0]
+
     def test_grid_validation(self, capsys):
         code, _, err = run(capsys, ["spectrum", "--x-min", "5", "--x-max", "1"])
         assert code == 2

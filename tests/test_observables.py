@@ -198,6 +198,11 @@ class TestPlanckSpectrum:
         for shift in (0.999, 1.001):
             assert planck_spectral_density(ThermoState(t), shift * nu_star) < u_star
 
+    def test_wien_tail_stays_finite(self):
+        # h nu / kT = 1257: e^x overflows, the density itself underflows
+        u = planck_spectral_density(ThermoState(1.0), 200.0)
+        assert math.isfinite(u) and u >= 0.0
+
     def test_frequency_validation(self):
         with pytest.raises(DomainError):
             planck_spectral_density(T1V1, 0.0)

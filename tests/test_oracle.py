@@ -233,5 +233,5 @@ class TestContinuumBridge:
         state = ThermoState(1.0)
         sums = spectrum.cycle_sums(1.0, 3)
         for s in (1, 2, 3):
-            continuum = volume * photon_cycle_weight(state, s).value
+            continuum = volume * photon_cycle_weight(state, s)
             assert rel(sums[s], continuum) <= 0.01

@@ -166,18 +166,34 @@ class TestCanonicalEnumeration:
 
     def test_breakdown_of_hand_example(self):
         sums = CycleSumSequence(values=np.array([2.0, 0.5]))
-        total, breakdown = canonical_partition_enumerated(sums, 2)
+        total, weights = canonical_partition_enumerated(sums, 2)
         assert total == 2.25
-        weights = {tuple(sorted(d.multiplicities.items())): w for d, w in breakdown}
-        assert weights[((1, 2),)] == 2.0
-        assert weights[((2, 1),)] == 0.25
+        by_type = dict(zip(cycle_types(2), weights))
+        assert by_type[((1, 2),)] == 2.0
+        assert by_type[((2, 1),)] == 0.25
 
     def test_single_particle(self):
         sums = CycleSumSequence(values=np.array([5.0]))
-        total, breakdown = canonical_partition_enumerated(sums, 1)
+        total, weights = canonical_partition_enumerated(sums, 1)
         assert total == 5.0
-        assert len(breakdown) == 1
-        assert breakdown[0][0].multiplicities == {1: 1}
+        assert weights == (5.0,)
+        assert cycle_types(1) == (((1, 1),),)
+
+    def test_weights_line_up_with_cycle_types(self):
+        rng = np.random.default_rng(11)
+        sums = CycleSumSequence(values=rng.uniform(0.05, 3.0, size=12))
+        c = sums.values.tolist()
+        for n in (0, 1, 5, 12):
+            total, weights = canonical_partition_enumerated(sums, n)
+            assert isinstance(weights, tuple) and len(weights) == len(cycle_types(n))
+            running = 0.0
+            for ctype, weight in zip(cycle_types(n), weights):
+                expected = 1.0
+                for s, xi in ctype:
+                    expected *= c[s - 1] ** xi / (math.factorial(xi) * float(s) ** xi)
+                assert weight == expected
+                running += weight
+            assert total == running
 
     def test_matches_recursion_for_random_sums(self):
         rng = np.random.default_rng(5)
