@@ -20,6 +20,7 @@ an algebraically exact identity for the Planck occupation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ DENSITY_CYCLE_SUM_S_MAX = 10**4
 MEAN_ENERGY_REL_STEP = 1e-5
 VARIANCE_REL_STEP = 1e-3
 WIEN_PEAK_TOL = 1e-13
+TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,8 @@ def band_fluctuation(state: ThermoState, band: BandSpec):
     Returns (relative_fluctuation, wave_term, particle_term) with
     relative = <dE^2>/<E>^2, particle = h*nu/<E>, wave = 1/(rho * dnu).
     The identity relative = particle + wave is exact.  Raises SizeError deep
-    in the Wien tail, where the occupation or <E>^2 underflows.
+    in the Wien tail, where the occupation or <E>^2 underflows, and where
+    <E>^2 or the variance overflows.
     """
     _require_photon_fugacity(state)
     modes = band.mode_count()
@@ -176,10 +179,14 @@ def band_fluctuation(state: ThermoState, band: BandSpec):
     x = photon_energy / state.temperature
     occupation = _planck_occupation(x)
     mean = modes * photon_energy * occupation
-    if not mean**2 > 0.0:
+    try:
+        mean_squared = mean**2
+        variance = modes * photon_energy**2 * occupation * (occupation + 1.0)
+    except OverflowError:
+        mean_squared = math.inf
+    if not 0.0 < mean_squared < math.inf:
         raise SizeError(f"band fluctuation leaves double precision at h nu / kT = {x:g}")
-    variance = modes * photon_energy**2 * occupation * (occupation + 1.0)
-    return variance / mean**2, 1.0 / modes, photon_energy / mean
+    return variance / mean_squared, 1.0 / modes, photon_energy / mean
 
 
 def _planck_occupation(x: float) -> float:
@@ -200,7 +207,20 @@ def planck_spectral_density(state: ThermoState, nu: float) -> float:
     if not nu > 0.0:
         raise DomainError(f"frequency must be > 0, got {nu}")
     x = 2.0 * math.pi * nu / state.temperature
-    density = 16.0 * math.pi**2 * nu**3 * _planck_occupation(x)
+    occupation = _planck_occupation(x)
+    try:
+        if occupation < sys.float_info.min:
+            # e^-x is subnormal or 0 past x ~ 708, while nu^3 e^-x may be a normal
+            # double.  16 pi^2 nu^3 e^-x = (2 sqrt(pi) nu^(3/4) e^(-x/8) e^(-x/8))^4:
+            # x/8 is exact and no factor leaves double range before the result
+            # does.  exp(log(16 pi^2) + 3 log nu - x) would round an exponent of
+            # size |3 log nu|, up to 2e-13 relative; this stays within 1e-14.
+            eighth = math.exp(-x / 8.0)
+            density = (TWO_SQRT_PI * nu**0.75 * eighth * eighth) ** 4
+        else:
+            density = 16.0 * math.pi**2 * nu**3 * occupation
+    except OverflowError:
+        density = math.inf
     if not math.isfinite(density):
         raise SizeError(f"Planck density leaves double precision at h nu / kT = {x:g}")
     return density

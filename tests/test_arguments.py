@@ -164,6 +164,11 @@ OVERFLOWING_CALLS = {
     "band fluctuation, <E>^2 underflows": lambda: cg.band_fluctuation(
         cg.ThermoState(1.0), cg.BandSpec(nu=100.0, delta_nu=1.0, volume=1.0)
     ),
+    # <E> = 3e158 is finite, <E>^2 is not
+    "band fluctuation, <E>^2 overflows": lambda: cg.band_fluctuation(
+        cg.ThermoState(1.0), cg.BandSpec(nu=1.0, delta_nu=0.1, volume=1e160)
+    ),
+    "Planck density, nu^3 1e309": lambda: cg.planck_spectral_density(cg.ThermoState(1e103), 1e103),
     # h nu / kT = 6e-320 is subnormal and its occupation overflows; u(nu) is 2.5e-39
     "Planck density, h nu / kT 6e-320": lambda: cg.planck_spectral_density(
         cg.ThermoState(1e200), 1e-120

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -202,6 +203,19 @@ class TestPlanckSpectrum:
         # h nu / kT = 1257: e^x overflows, the density itself underflows
         u = planck_spectral_density(ThermoState(1.0), 200.0)
         assert math.isfinite(u) and u >= 0.0
+
+    @pytest.mark.parametrize("t", [1e50, 1e150, 1e200])
+    @pytest.mark.parametrize("x", [750.0, 800.0])
+    def test_wien_tail_past_the_occupation_underflow(self, t, x):
+        # e^-x is 0 here, but 16 pi^2 nu^3 e^-x is a normal double (5.1e-168 at T = 1e50,
+        # x = 750); the reference takes the x the function forms, since u is x times
+        # as sensitive to it as to nu
+        nu = x * t / (2.0 * math.pi)
+        x_formed = 2.0 * math.pi * nu / t
+        assert math.exp(-x_formed) == 0.0
+        with mpmath.workdps(40):
+            exact = 16 * mpmath.pi**2 * mpmath.mpf(nu) ** 3 / mpmath.expm1(mpmath.mpf(x_formed))
+            assert rel(planck_spectral_density(ThermoState(t), nu), exact) <= 1e-13
 
     def test_frequency_validation(self):
         with pytest.raises(DomainError):

@@ -18,6 +18,7 @@ from cyclegas.sampler import (
     sample_cycle_configuration,
     stream,
     _draw_replica,
+    _rekey,
 )
 
 
@@ -49,6 +50,31 @@ class TestDeterminism:
         for key in ((2**64, 0), (-1, 0), (0, -1), (0, 2**64)):
             with pytest.raises(DomainError):
                 stream(*key)
+
+    @pytest.mark.parametrize("seed", [0, 77, 2**64 - 1])
+    def test_rekey_restarts_a_fresh_philox_stream(self, seed):
+        # a re-keyed generator replays Philox(key=seed | replica << 64) from its
+        # first word, also after draws that left its buffer part-used
+        used = stream(seed, 0)
+        for replica in (0, 1, 199):
+            expected = np.random.Philox(key=seed | replica << 64).random_raw(8).tolist()
+            assert stream(seed, replica).bit_generator.random_raw(8).tolist() == expected
+            used.gamma(3 * used.poisson(np.full(10, 2.5)).sum() + 1.0, 1.3)
+            assert used.bit_generator.state["buffer_pos"] < 4
+            _rekey(used.bit_generator, seed, replica)
+            assert used.bit_generator.random_raw(8).tolist() == expected
+
+    def test_one_philox_per_call(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        estimate_observables(SampleConfig(seed=3, replicas=200, s_max=10, state=ThermoState(1.0, 50.0)))
+        assert len(built) == 1
 
     def test_replica_draw_follows_the_stream_contract(self):
         # in the replica's stream: the Poisson vector in one call, then one Gamma(3K, T) energy
@@ -159,6 +185,17 @@ class TestCycleEnergy:
         target = 3.0 * config.state.temperature * float(np.sum(cycle_mean_counts(config)))
         est = report.estimates["total_energy"]
         assert abs(est["mean"] - target) <= 5.0 * est["se"]
+
+    def test_memory_grows_with_replicas_plus_s_max_not_their_product(self):
+        # a replicas x s_max block of counts would take 80 MB here
+        config = SampleConfig(seed=8, replicas=1000, s_max=10**4, state=ThermoState(1.0, 1e3))
+        tracemalloc.start()
+        try:
+            estimate_observables(config)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 @pytest.fixture(scope="module")
