@@ -64,13 +64,25 @@ class BandSpec:
             )
 
     def mode_count(self) -> float:
-        # two polarizations: rho(nu) = 8 pi V nu^2 (c = 1)
-        return 8.0 * math.pi * self.volume * self.nu**2 * self.delta_nu
+        """rho * dnu, with two polarizations: rho(nu) = 8 pi V nu^2 (c = 1); SizeError past double range."""
+        try:
+            count = 8.0 * math.pi * self.volume * self.nu**2 * self.delta_nu
+        except OverflowError:  # a float nu**2 raises rather than giving inf
+            count = math.inf
+        if math.isinf(count):
+            raise SizeError(f"mode count overflows at nu = {self.nu:g}, V = {self.volume:g}")
+        return count
 
     @classmethod
     def from_mode_count(cls, nu: float, delta_nu: float, mode_count: float) -> "BandSpec":
-        volume = mode_count / (8.0 * math.pi * nu**2 * delta_nu)
-        return cls(nu=nu, delta_nu=delta_nu, volume=volume)
+        """The band whose volume holds mode_count modes; SizeError when 8 pi nu^2 dnu overflows."""
+        try:
+            modes_per_volume = 8.0 * math.pi * nu**2 * delta_nu
+        except OverflowError:
+            modes_per_volume = math.inf
+        if math.isinf(modes_per_volume):
+            raise SizeError(f"modes per unit volume overflow at nu = {nu:g}, delta_nu = {delta_nu:g}")
+        return cls(nu=nu, delta_nu=delta_nu, volume=mode_count / modes_per_volume)
 
 
 def mean_energy(state: ThermoState) -> float:

@@ -34,6 +34,10 @@ from .cycle_weights import _photon_cycle_term, matter_cycle_weight
 
 ENUMERATION_LIMIT = 25  # p(25) = 1958 cycle types, factorials < 2**128
 GRAND_SUM_REL_CUTOFF = 1e-16
+# the canonical recursion's buffer is scaled down by 2**-RESCALE_BITS once a
+# dot product n Z_n reaches RESCALE_ABOVE, well before it can overflow
+RESCALE_ABOVE = 2.0**900
+RESCALE_BITS = 600
 # the first power of two from 64 at which tail_bracket(s_max, 4) is narrower than 1e-12
 CYCLE_SERIES_S_MAX = 1024
 
@@ -191,17 +195,39 @@ def cycle_types(n: int):
 def _canonical_recursion(C: CycleSumSequence):
     """Yield Z_1, Z_2, ..., Z_{s_max} from Z_0 = 1, Z_n = (1/n) sum_{k=1..n} C_k Z_{n-k}.
 
+    Each step is one BLAS dot product of C_1..C_n with Z_{n-1}..Z_0, which
+    sit in that order at the end of a buffer that fills from the back.  The
+    buffer keeps Z_j / 2**shift: when a dot product n Z_n / 2**shift reaches
+    RESCALE_ABOVE, every filled entry is multiplied by 2**-RESCALE_BITS
+    (exact in binary) and the dot is redone, so Z_n stays finite whenever
+    it fits in a double even though n Z_n does not.  Until a rescale fires
+    the values are exactly those of the plain dot product.  A Z_n past
+    double range raises SizeError.
+
     Each Z_n is computed as soon as it is asked for, so a caller that stops
     early pays only for the terms it used.
     """
-    c = C.values.tolist()
-    Z = [1.0]
-    for n in range(1, len(c) + 1):
-        acc = 0.0
-        for c_k, z_rest in zip(c, reversed(Z)):  # C_k Z_{n-k} for k = 1..n
-            acc += c_k * z_rest
-        Z.append(acc / n)
-        yield Z[n]
+    c = C.values
+    top = c.size
+    reversed_z = np.empty(top + 1)  # reversed_z[top - j] holds Z_j / 2**shift
+    reversed_z[top] = 1.0
+    shift = 0
+    for n in range(1, top + 1):
+        window = reversed_z[top - n + 1 :]
+        y = float(np.dot(c[:n], window))
+        if not y < RESCALE_ABOVE:
+            window *= 2.0**-RESCALE_BITS
+            shift += RESCALE_BITS
+            y = float(np.dot(c[:n], window))
+        y /= n
+        reversed_z[top - n] = y
+        try:
+            z_n = math.ldexp(y, shift)
+        except OverflowError:
+            z_n = math.inf
+        if not z_n < math.inf:
+            raise SizeError(f"Z_{n} = {y:g} * 2**{shift} overflows double precision")
+        yield z_n
 
 
 def canonical_partition_table(C: CycleSumSequence, N: int) -> np.ndarray:

@@ -168,6 +168,12 @@ OVERFLOWING_CALLS = {
     "band fluctuation, <E>^2 overflows": lambda: cg.band_fluctuation(
         cg.ThermoState(1.0), cg.BandSpec(nu=1.0, delta_nu=0.1, volume=1e160)
     ),
+    # nu^2 = 1e320 raises OverflowError inside float arithmetic
+    "band mode count, nu^2 1e320": lambda: cg.BandSpec(nu=1e160, delta_nu=1e158, volume=1.0).mode_count(),
+    "band from mode count, nu^2 1e320": lambda: cg.BandSpec.from_mode_count(1e160, 1e158, 10.0),
+    "band fluctuation, nu^2 1e320": lambda: cg.band_fluctuation(
+        cg.ThermoState(1e160), cg.BandSpec(nu=1e160, delta_nu=1e158, volume=1.0)
+    ),
     "Planck density, nu^3 1e309": lambda: cg.planck_spectral_density(cg.ThermoState(1e103), 1e103),
     # h nu / kT = 6e-320 is subnormal and its occupation overflows; u(nu) is 2.5e-39
     "Planck density, h nu / kT 6e-320": lambda: cg.planck_spectral_density(

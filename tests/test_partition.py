@@ -1,11 +1,17 @@
+import contextlib
+import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from cyclegas import cli
 from cyclegas.core import ConvergenceError, DomainError, SizeError, ThermoState
+from cyclegas.oracle import ModeSpectrum
 from cyclegas.partition import (
     CYCLE_SERIES_S_MAX,
+    GRAND_SUM_REL_CUTOFF,
     CycleDistribution,
     CycleSumSequence,
     bose_number_density_cycle,
@@ -26,6 +32,16 @@ F1 = 2.0 / math.pi**2
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def exact_recursion(values, n_max):
+    """Z_0..Z_{n_max} of Z_n = (1/n) sum_k C_k Z_{n-k} on the given doubles, in 30-digit mpmath."""
+    with mpmath.workdps(30):
+        c = [mpmath.mpf(float(x)) for x in values[:n_max]]
+        z = [mpmath.mpf(1)]
+        for n in range(1, n_max + 1):
+            z.append(mpmath.fsum(c[k] * z[n - 1 - k] for k in range(n)) / n)
+    return z
 
 
 class TestLogPartitionRoutes:
@@ -155,6 +171,45 @@ class TestCanonicalRecursion:
         with pytest.raises(DomainError):
             canonical_partition_table(sums, 3)
 
+    def test_trap_table_within_2e_15_of_exact_recursion(self):
+        # the same double C_s, recursed in 30 digits
+        levels = np.arange(60.0)
+        spectrum = ModeSpectrum.from_modes(levels, ((levels + 1) * (levels + 2) / 2).astype(int))
+        sums = spectrum.cycle_sums(2.0, 400)
+        exact = exact_recursion(sums.values, 400)
+        table = canonical_partition_table(sums, 400)
+        assert max(rel(mpmath.mpf(z), want) for z, want in zip(table, exact)) <= 2e-15
+
+    def test_photon_table_finite_up_to_the_last_z_n_that_fits(self):
+        # at V = 1e4, Z_221 = 5.5e307 fits while 221 Z_221 does not
+        sums = CycleSumSequence.from_photon_gas(ThermoState(1.0, 1e4), 222)
+        exact = exact_recursion(sums.values, 221)
+        table = canonical_partition_table(sums, 221)
+        for n in (220, 221):
+            assert rel(mpmath.mpf(table[n]), exact[n]) <= 1e-13
+        with pytest.raises(SizeError):
+            canonical_partition_table(sums, 222)
+
+    def test_rescaled_values_equal_the_plain_dot_product(self):
+        # photon n Z_n passes 2**900 at n = 184; the rescale by 2**-600 is exact
+        sums = CycleSumSequence.from_photon_gas(ThermoState(1.0, 1e4), 219)
+        c = sums.values
+        reversed_z = np.empty(c.size + 1)
+        reversed_z[c.size] = 1.0
+        for n in range(1, c.size + 1):
+            reversed_z[c.size - n] = float(np.dot(c[:n], reversed_z[c.size - n + 1 :])) / n
+        assert np.array_equal(canonical_partition_table(sums, 219), reversed_z[::-1])
+
+    def test_cli_table_past_double_range_is_a_size_error(self, tmp_path):
+        # one level at energy 0 with g = 3000: Z_N = binom(2999 + N, N) overflows at N = 188
+        spectrum_file = tmp_path / "one_level.txt"
+        spectrum_file.write_text("0.0 3000\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["partition", "--spectrum-file", str(spectrum_file), "--n-max", "400", "--temperature", "1"])
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("ERROR 2:")
+
 
 class TestCanonicalEnumeration:
     def test_unit_sums_give_unit_partition(self):
@@ -255,6 +310,20 @@ class TestGrandCanonicalConsistency:
             lhs = grand_partition_from_canonical(sums, z)
             rhs = math.exp(sum(z**s * sums[s] / s for s in range(1, 251)))
             assert rel(lhs, rhs) <= 1e-10
+
+    def test_grand_sum_reads_the_table_values_bit_for_bit(self):
+        sums = CycleSumSequence.from_spectrum(np.arange(6.0), [1, 3, 6, 10, 15, 21], 0.5, 400)
+        table = canonical_partition_table(sums, 400)
+        z = 0.7
+        total, z_power = 1.0, 1.0
+        for n in range(1, 401):
+            z_power *= z
+            term = z_power * table[n]
+            total += term
+            if n >= 8 and term < GRAND_SUM_REL_CUTOFF * total:
+                break
+        assert n < 400
+        assert grand_partition_from_canonical(sums, z) == total
 
     def test_unconverged_raises(self):
         sums = CycleSumSequence.from_spectrum([0.05], [1], 0.1, 12)
