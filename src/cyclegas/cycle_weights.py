@@ -93,9 +93,7 @@ def matter_cycle_weight(state: ThermoState, mass: float, s: int) -> float:
 
 def _exp_moment(power: float) -> float:
     """Integral of u**power * e**(-u) over [0, inf) to 1e-9 relative."""
-    return _quad(
-        lambda u: u**power * math.exp(-u), math.inf, 1e-11, 1e-9, f"exponential moment {power}"
-    )
+    return _quad(lambda u: u**power * math.exp(-u), 1e-9, f"exponential moment {power}")
 
 
 def cycle_weight_by_quadrature(dispersion: Dispersion, state: ThermoState, s: int) -> float:
@@ -121,8 +119,7 @@ def cycle_weight_by_quadrature(dispersion: Dispersion, state: ThermoState, s: in
 def decay_comparison(s_max: int) -> np.ndarray:
     """Normalized decay of photon vs matter cycle weights, rows (s, f_s/f_1, f'_s/f'_1).
 
-    Checks that the photon column decays strictly faster for every s >= 2
-    and that the two log-log slopes are -3 and -3/2.
+    The photon column falls as s**-3 and the matter column as s**-3/2.
     """
     s_max = _require_integer("s_max", s_max, 2)
     state = ThermoState(temperature=1.0)
@@ -133,13 +130,4 @@ def decay_comparison(s_max: int) -> np.ndarray:
         rows[s - 1, 0] = s
         rows[s - 1, 1] = photon_cycle_weight(state, s) / f1
         rows[s - 1, 2] = matter_cycle_weight(state, 2.0 * math.pi, s) / fp1
-    if not np.all(rows[1:, 1] < rows[1:, 2]):
-        raise AssertionError("photon cycle weights must decay faster than matter ones")
-    log_s = np.log(rows[:, 0])
-    slope_photon = np.polyfit(log_s, np.log(rows[:, 1]), 1)[0]
-    slope_matter = np.polyfit(log_s, np.log(rows[:, 2]), 1)[0]
-    if abs(slope_photon + 3.0) > 1e-9 or abs(slope_matter + 1.5) > 1e-9:
-        raise AssertionError(
-            f"decay exponents off: photon {slope_photon:.12f}, matter {slope_matter:.12f}"
-        )
     return rows

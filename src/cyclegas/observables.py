@@ -122,10 +122,13 @@ def photon_number_density_cycle_sum(state: ThermoState) -> float:
 def coherence_volume_photon_count(state: ThermoState) -> float:
     """Photons in one coherence volume (1/T)^3: the constant 2*zeta(3)/pi^2.
 
-    Temperature independent by construction; numerically about 0.2436, so
-    "about one photon per coherence volume" only as an order of magnitude.
+    Temperature independent by construction: the density grows as T^3, so the
+    count is the density at T = 1, and no T^3 is formed that could underflow.
+    Numerically about 0.2436, so "about one photon per coherence volume" only
+    as an order of magnitude.
     """
-    return photon_number_density(state) / state.temperature**3
+    _require_photon_fugacity(state)
+    return photon_number_density(ThermoState(1.0))
 
 
 def energy_variance(state: ThermoState, s_max: int = 100) -> FluctuationReport:
@@ -203,6 +206,8 @@ def band_fluctuation(state: ThermoState, band: BandSpec):
 
 def _planck_occupation(x: float) -> float:
     """1/(e^x - 1) at x = h nu / k T; once e^x overflows it equals e^-x to double precision."""
+    if x == 0.0:
+        raise SizeError("h nu / kT underflows to 0, where the Planck occupation is infinite")
     try:
         return 1.0 / math.expm1(x)
     except OverflowError:

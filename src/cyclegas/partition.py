@@ -75,8 +75,8 @@ class CycleSumSequence:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise DomainError("cycle sums must form a nonempty 1-d sequence")
-        if not np.all(values > 0.0):
-            raise DomainError("cycle sums must be strictly positive")
+        if not np.all((values > 0.0) & np.isfinite(values)):
+            raise DomainError("cycle sums must be finite and strictly positive")
         object.__setattr__(self, "values", values)
 
     @property
@@ -300,27 +300,16 @@ def bose_number_density_integral(state: ThermoState, mass: float) -> float:
     """Independent momentum-integral route to the Bose number density.
 
     Integrates 4 pi p^2 dp/(2 pi)^3 * z e^{-beta p^2/2m} / (1 - z e^{-beta
-    p^2/2m}) by adaptive quadrature after substituting u = p sqrt(beta/2m).
+    p^2/2m}) by quadrature after substituting u = p sqrt(beta/2m).
     """
     if not mass > 0.0:
         raise DomainError(f"mass must be > 0, got {mass}")
     z = state.fugacity
-    if z == 0.0:
-        return 0.0
 
-    if z == 1.0:
-        # u^2 e^{-u^2} / (1 - e^{-u^2}); -expm1(-u^2) keeps the u -> 0 end exact
-        def integrand(u):
-            if u == 0.0:
-                return 1.0
-            return u * u * math.exp(-u * u) / -math.expm1(-u * u)
+    def integrand(u):
+        # 1 - z e^{-u^2} as (1 - z) - z expm1(-u^2) stays exact as u -> 0 at z = 1
+        return u * u * z * math.exp(-u * u) / ((1.0 - z) - z * math.expm1(-u * u))
 
-    else:
-
-        def integrand(u):
-            w = z * math.exp(-u * u)
-            return u * u * w / (1.0 - w)
-
-    value = _quad(integrand, math.inf, 1e-11, 1e-9, f"the Bose density at z = {z}")
+    value = _quad(integrand, 1e-9, f"the Bose density at z = {z}")
     scale = (2.0 * mass * state.temperature) ** 1.5 / (2.0 * math.pi**2)
     return scale * value

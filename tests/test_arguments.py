@@ -179,6 +179,11 @@ OVERFLOWING_CALLS = {
     "Planck density, h nu / kT 6e-320": lambda: cg.planck_spectral_density(
         cg.ThermoState(1e200), 1e-120
     ),
+    # h nu / kT underflows to 0, where the occupation 1 / (e^x - 1) is infinite
+    "Planck density, h nu / kT 0": lambda: cg.planck_spectral_density(cg.ThermoState(1e200), 1e-200),
+    "band fluctuation, h nu / kT 0": lambda: cg.band_fluctuation(
+        cg.ThermoState(1.35e264), cg.BandSpec.from_mode_count(1.32e-66, 1.32e-67, 100.0)
+    ),
 }
 
 

@@ -1,11 +1,13 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
 
+from cyclegas import core
 from cyclegas.core import (
     ConvergenceError,
     DomainError,
@@ -84,7 +86,7 @@ class TestBoseIntegral:
         assert rel(bose_integral(1), math.pi**2 / 6.0) <= 1e-12
         assert rel(bose_integral(2), 2.0 * riemann_zeta(3.0)) <= 1e-12
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 100, 150])
     def test_quadrature_matches_closed_form(self, n):
         # the executable zeta identity: both routes agree to 1e-10
         closed = math.factorial(n) * riemann_zeta(n + 1.0)
@@ -96,6 +98,11 @@ class TestBoseIntegral:
             bose_integral(0)
         with pytest.raises(DomainError):
             bose_integral(2.5)
+
+    def test_quadrature_past_double_range_raises(self):
+        # 171! zeta(172) overflows a double; the rule's sum must not pass as inf
+        with pytest.raises(ConvergenceError, match=re.escape("bose_quadrature(171)")):
+            bose_quadrature(171)
 
     @pytest.mark.parametrize("n", [0, 2.5, True])
     def test_quadrature_domain(self, n):
@@ -121,20 +128,88 @@ class TestQuadratureGate:
     @pytest.mark.parametrize("what", QUADRATURE_GATES)
     def test_error_estimate_past_the_gate_raises(self, what, monkeypatch):
         call, accept = QUADRATURE_GATES[what]
-        real_quad = scipy.integrate.quad
+        real_rule = core._exp_sinh
 
-        def quad_reporting(factor):
-            def quad(*args, **kwargs):
-                value, _abserr = real_quad(*args, **kwargs)
+        def rule_reporting(factor):
+            def rule(integrand, rtol):
+                value, _estimate = real_rule(integrand, rtol)
                 return value, factor * accept * abs(value)
 
-            return quad
+            return rule
 
-        monkeypatch.setattr(scipy.integrate, "quad", quad_reporting(0.5))
+        monkeypatch.setattr(core, "_exp_sinh", rule_reporting(0.5))
         call()
-        monkeypatch.setattr(scipy.integrate, "quad", quad_reporting(1.5))
-        with pytest.raises(ConvergenceError, match=re.escape(what)):
-            call()
+        for factor in (1.5, math.nan):
+            monkeypatch.setattr(core, "_exp_sinh", rule_reporting(factor))
+            with pytest.raises(ConvergenceError, match=re.escape(what)):
+                call()
+
+
+# The ten integrands the oracles hand to the rule: the call that reaches it and
+# the exact integral over [0, inf), as an mpmath expression.
+ORACLE_INTEGRANDS = {
+    **{
+        f"x^{n}/(e^x - 1)": (
+            lambda n=n: bose_quadrature(n),
+            lambda n=n: mpmath.factorial(n) * mpmath.zeta(n + 1),
+        )
+        for n in (1, 2, 3, 4)
+    },
+    "u^2 e^-u": (
+        lambda: cycle_weight_by_quadrature(Dispersion.photon(), ThermoState(1.0), 1),
+        lambda: mpmath.gamma(3),
+    ),
+    "u^0.5 e^-u": (
+        lambda: cycle_weight_by_quadrature(Dispersion.massive(1.0), ThermoState(1.0), 1),
+        lambda: mpmath.gamma(1.5),
+    ),
+    **{
+        # sum_s z^s int u^2 e^{-s u^2} du = sqrt(pi)/4 * g_{3/2}(z)
+        f"Bose density at z = {z}": (
+            lambda z=z: bose_number_density_integral(ThermoState(1.0, fugacity=z), 1.0),
+            lambda z=z: mpmath.sqrt(mpmath.pi) / 4 * mpmath.polylog(1.5, z),
+        )
+        for z in (0.1, 0.5, 0.9, 1.0)
+    },
+}
+
+
+def oracle_integrand(name, monkeypatch):
+    """The one integrand that ORACLE_INTEGRANDS[name]'s call hands to the rule."""
+    seen = []
+    real_rule = core._exp_sinh
+
+    def rule(integrand, rtol):
+        seen.append(integrand)
+        return real_rule(integrand, rtol)
+
+    monkeypatch.setattr(core, "_exp_sinh", rule)
+    ORACLE_INTEGRANDS[name][0]()
+    monkeypatch.undo()
+    (integrand,) = seen
+    return integrand
+
+
+class TestExpSinhRule:
+    @pytest.mark.parametrize("name", ORACLE_INTEGRANDS)
+    def test_against_scipy_and_mpmath(self, name, monkeypatch):
+        # third-party routes: scipy's QUADPACK on [0, inf) and 40-digit closed forms
+        integrand = oracle_integrand(name, monkeypatch)
+        value = core._quad(integrand, 1e-10, name)
+        reference, _abserr = scipy.integrate.quad(
+            integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200
+        )
+        with mpmath.workdps(40):
+            exact = float(ORACLE_INTEGRANDS[name][1]())
+        assert rel(value, reference) <= 1e-14
+        assert rel(value, exact) <= 1e-14
+
+    @pytest.mark.parametrize("name", ORACLE_INTEGRANDS)
+    def test_integrand_finite_at_both_ends_of_the_nodes(self, name, monkeypatch):
+        integrand = oracle_integrand(name, monkeypatch)
+        for t in (-core.QUAD_T_MAX, core.QUAD_T_MAX):
+            y = integrand(math.exp(0.5 * math.pi * math.sinh(t)))
+            assert isinstance(y, float) and math.isfinite(y), (t, y)
 
 
 class TestThermoState:

@@ -112,6 +112,12 @@ class TestDecayComparison:
         assert np.all(rows[1:, 1] < rows[1:, 2])
         assert rows[0, 1] == rows[0, 2] == 1.0
 
+    def test_log_log_slopes(self):
+        rows = decay_comparison(64)
+        log_s = np.log(rows[:, 0])
+        assert abs(np.polyfit(log_s, np.log(rows[:, 1]), 1)[0] + 3.0) <= 1e-9
+        assert abs(np.polyfit(log_s, np.log(rows[:, 2]), 1)[0] + 1.5) <= 1e-9
+
     def test_s_max_validation(self):
         with pytest.raises(DomainError):
             decay_comparison(1)

@@ -1,6 +1,6 @@
-"""scipy is needed only by the oracles: `import cyclegas` and every command but
-`verify` run without it.  Each check runs in a fresh interpreter, because this
-test session has imported scipy already."""
+"""scipy is a test-only dependency: `import cyclegas` and every command,
+`verify` included, run without it.  Each check runs in a fresh interpreter,
+because this test session has imported scipy already."""
 
 import os
 import subprocess
@@ -31,7 +31,7 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def test_commands_other_than_verify_run_without_scipy():
+def test_every_command_runs_without_scipy():
     commands = [
         ["weights", "--s-max", "3"],
         ["weights", "--dispersion", "massive", "--mass", "2", "--s-max", "3"],
@@ -41,6 +41,7 @@ def test_commands_other_than_verify_run_without_scipy():
         ["fluctuations", "--volume", "100", "--nu", "0.3", "--delta-nu", "0.03"],
         ["density"],
         ["sample", "--replicas", "3", "--s-max", "5", "--volume", "10"],
+        ["verify"],
     ]
     result = run_python(
         "import sys\n"
@@ -48,17 +49,6 @@ def test_commands_other_than_verify_run_without_scipy():
         "from cyclegas import cli\n"
         f"for argv in {commands!r}:\n"
         "    assert cli.main(argv) == 0, argv\n"
-    )
-    assert result.returncode == 0, result.stderr
-
-
-def test_verify_passes_with_scipy_imported_on_demand():
-    result = run_python(
-        "import sys\n"
-        "from cyclegas import cli\n"
-        "code = cli.main(['verify'])\n"
-        "assert 'scipy.integrate' in sys.modules\n"
-        "sys.exit(code)\n"
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "PASS  overall"

@@ -73,7 +73,8 @@ class TestCoherenceVolumeCount:
     def test_temperature_independent_constant(self):
         reference = coherence_volume_photon_count(T1V1)
         assert rel(reference, 0.2435876564671461) <= 1e-12
-        for t in (0.01, 1.0, 100.0):
+        # T^3 underflows at 1e-120 and overflows at 1e150; the count needs neither
+        for t in (1e-120, 0.01, 1.0, 100.0, 1e150):
             assert rel(coherence_volume_photon_count(ThermoState(t)), reference) <= 1e-12
 
 

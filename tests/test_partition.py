@@ -296,6 +296,9 @@ class TestCycleSumSequence:
             CycleSumSequence(values=np.array([1.0, 0.0]))
         with pytest.raises(DomainError):
             CycleSumSequence(values=np.array([]))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DomainError):
+                CycleSumSequence(values=np.array([bad, 1.0]))
 
 
 class TestGrandCanonicalConsistency:
