@@ -7,9 +7,10 @@ in $CYCLEGAS_OUTPUT_DIR when that is set.  In --units si all inputs are SI
 conversion happens only at this boundary.
 
 Exit codes: 0 success, 2 usage error (a flag the command does not read,
-or flags that do not go together, such as --mass without --dispersion
-massive), 1 computational error (failed verification, quadrature
-failure).  Errors go to stderr with the prefix "ERROR <code>:".
+flags that do not go together, such as --mass without --dispersion
+massive, or values whose result leaves double range), 1 computational
+error (failed verification, quadrature failure).  Errors go to stderr
+with the prefix "ERROR <code>:".
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def cmd_spectrum(args, units: UnitsPolicy) -> str:
     if not (0 < args.x_min < args.x_max) or args.points < 2:
         raise DomainError("need 0 < --x-min < --x-max and --points >= 2")
     rows = []
-    for x in np.linspace(args.x_min, args.x_max, args.points):
+    for x in np.linspace(args.x_min, args.x_max, args.points).tolist():  # floats: nu**3 raises
         nu = x * state.temperature / (2.0 * math.pi)
         u = observables.planck_spectral_density(state, nu)
         planck_x = x**3 * observables._planck_occupation(x)

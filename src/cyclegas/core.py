@@ -10,6 +10,7 @@ hbar / (1 J) seconds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,34 @@ class ConvergenceError(RuntimeError):
 
 
 class SizeError(ValueError):
-    """A request exceeds a hard size limit (exact enumeration, sampled volume)."""
+    """A request exceeds a hard size limit (exact enumeration, sampled volume, double range)."""
+
+
+def _finite(fn):
+    """fn gated on double range, the one place that decides it: an OverflowError
+    inside fn, or an inf or NaN in a float, tuple or ndarray result, becomes
+    SizeError.  Other results, validated objects such as BandSpec, pass."""
+
+    @functools.wraps(fn)
+    def gated(*args, **kwargs):
+        try:
+            result = fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise SizeError(f"{fn.__qualname__} leaves double range") from exc
+        if type(result) is float and math.isfinite(result) or _all_finite(result):
+            return result
+        raise SizeError(f"{fn.__qualname__} leaves double range")
+
+    return gated
+
+
+def _all_finite(result) -> bool:
+    if isinstance(result, float):
+        return math.isfinite(result)
+    if isinstance(result, tuple):
+        return all(map(_all_finite, result))
+    # on short arrays count_nonzero takes half the time of .all()
+    return not isinstance(result, np.ndarray) or np.count_nonzero(np.isfinite(result)) == result.size
 
 
 def _require_integer(name: str, value, minimum: int) -> int:
@@ -128,6 +156,7 @@ class UnitsPolicy:
 
     # --- outputs (internal -> SI) ---
 
+    @_finite
     def temperature_to_si(self, t: float) -> float:
         return t / KB_SI if self.mode == "si" else t
 
@@ -138,12 +167,15 @@ class UnitsPolicy:
         # the internal energy unit is the joule, so the number passes through
         return e
 
+    @_finite
     def frequency_to_si(self, nu: float) -> float:
         return nu / self.time_unit_s
 
+    @_finite
     def number_density_to_si(self, n: float) -> float:
         return n / self.length_unit_m**3
 
+    @_finite
     def spectral_density_to_si(self, u_nu: float) -> float:
         # energy per volume per frequency: J / (m^3 Hz)
         return u_nu * self.time_unit_s / self.length_unit_m**3
@@ -163,6 +195,7 @@ class UnitsPolicy:
 _ZETA_TRUNCATIONS = (256, 1024)
 _ZETA_REL_TOL = 1e-13
 POLYLOG_MAX_TERMS = 10**7
+BOSE_INTEGRAL_MAX_ORDER = 170  # 171! zeta(172) = 1.2e309 leaves double range
 # exp-sinh nodes run over exp(-42.9) <= x <= exp(42.9); the part of each
 # oracle integral outside that range is below 1e-17 of the whole.  The step
 # halves down to 2**-8: the oracles settle by level 6, bose_quadrature(169) at 8.
@@ -195,6 +228,7 @@ def riemann_zeta(r: float) -> float:
     return value
 
 
+@_finite
 def polylog(r: float, z: float) -> float:
     """Bose-Einstein function g_r(z) = sum of z**s / s**r, for z in [0, 1].
 
@@ -267,6 +301,7 @@ def _quad(integrand, accept: float, what: str) -> float:
     return value
 
 
+@_finite
 def bose_quadrature(n: int) -> float:
     """Integral of x**n / (e**x - 1) on [0, inf) by the exp-sinh rule of _quad.
 
@@ -285,7 +320,9 @@ def bose_integral(n: int) -> float:
 
     Evaluated in closed form as Gamma(n+1) * zeta(n+1).  bose_quadrature is
     the independent route; Tier-1 and `cyclegas verify` check that the two
-    agree.
+    agree.  n past BOSE_INTEGRAL_MAX_ORDER, out of double range, raises SizeError.
     """
     n = _require_integer("bose_integral order n", n, 1)
+    if n > BOSE_INTEGRAL_MAX_ORDER:
+        raise SizeError(f"bose_integral order n must be <= {BOSE_INTEGRAL_MAX_ORDER}, got {n}")
     return math.factorial(n) * riemann_zeta(n + 1)

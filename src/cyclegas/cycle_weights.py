@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, SizeError, ThermoState
-from .core import _quad, _require_integer, _require_photon_fugacity
+from .core import DomainError, ThermoState
+from .core import _finite, _quad, _require_integer, _require_photon_fugacity
 
 TWO_OVER_PI_SQUARED = 2.0 / math.pi**2
 
@@ -59,30 +59,21 @@ class Dispersion:
         return cls(kind="massive", mass=mass)
 
 
-def _photon_cycle_term(temperature, volume=1.0, s=1.0, power=0.0):
-    """V (2/pi^2) T^3 / s**power, the one place the photon cycle weight is written.
-
-    power 3 gives V f_s, power 4 the mean number V f_s / s of s-cycles, and
-    the defaults give the prefactor V (2/pi^2) T^3 that multiplies sums of
-    s**(-power).  s may be an array.  Raises SizeError when the prefactor
-    overflows double precision.
-    """
-    try:
-        prefactor = volume * TWO_OVER_PI_SQUARED * temperature**3
-    except OverflowError:  # a float temperature**3 raises rather than giving inf
-        prefactor = math.inf
-    if math.isinf(prefactor):
-        raise SizeError(f"V T^3 overflows at V = {volume:g}, T = {temperature:g}")
-    return prefactor / s**power
+@_finite
+def _photon_prefactor(temperature, volume=1.0):
+    """V (2/pi^2) T^3, the one place the photon cycle weight is written: V f_s is
+    this over s**3, and the mean number V f_s / s of s-cycles this over s**4."""
+    return volume * TWO_OVER_PI_SQUARED * temperature**3
 
 
 def photon_cycle_weight(state: ThermoState, s: int) -> float:
     """Closed-form photon cycle weight (2/pi^2) * T^3 / s^3, in (length)^-3."""
     _require_photon_fugacity(state)
     s = _require_integer("cycle size s", s, 1)
-    return _photon_cycle_term(state.temperature, s=s, power=3)
+    return _photon_prefactor(state.temperature) / s**3
 
 
+@_finite
 def matter_cycle_weight(state: ThermoState, mass: float, s: int) -> float:
     """Closed-form matter-wave cycle weight (m T / 2 pi)^(3/2) / s^(3/2), in (length)^-3."""
     s = _require_integer("cycle size s", s, 1)
@@ -96,6 +87,7 @@ def _exp_moment(power: float) -> float:
     return _quad(lambda u: u**power * math.exp(-u), 1e-9, f"exponential moment {power}")
 
 
+@_finite
 def cycle_weight_by_quadrature(dispersion: Dispersion, state: ThermoState, s: int) -> float:
     """Numerical momentum integral g * int exp(-beta*energy(p)*s) 4 pi p^2 dp/(2 pi)^3.
 

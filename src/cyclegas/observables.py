@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, SizeError, ThermoState, bose_quadrature, riemann_zeta
-from .core import _require_integer, _require_photon_fugacity
-from .cycle_weights import _photon_cycle_term
+from .core import _finite, _require_integer, _require_photon_fugacity
+from .cycle_weights import _photon_prefactor
 from .partition import _closed_power_sum, log_grand_partition_integral
 
 DENSITY_CYCLE_SUM_S_MAX = 10**4
@@ -56,43 +56,32 @@ class BandSpec:
     volume: float
 
     def __post_init__(self):
-        if not self.nu > 0.0 or not self.delta_nu > 0.0 or not self.volume > 0.0:
-            raise DomainError("band requires nu, delta_nu, volume all > 0")
+        if not self.nu > 0.0 or not self.delta_nu > 0.0 or not 0.0 < self.volume < math.inf:
+            raise DomainError("band requires nu, delta_nu > 0 and a finite volume > 0")
         if self.delta_nu > 0.1 * self.nu:
             raise DomainError(
                 f"band must be narrow: delta_nu <= 0.1 * nu, got {self.delta_nu} vs {self.nu}"
             )
 
+    @_finite
     def mode_count(self) -> float:
-        """rho * dnu, with two polarizations: rho(nu) = 8 pi V nu^2 (c = 1); SizeError past double range."""
-        try:
-            count = 8.0 * math.pi * self.volume * self.nu**2 * self.delta_nu
-        except OverflowError:  # a float nu**2 raises rather than giving inf
-            count = math.inf
-        if math.isinf(count):
-            raise SizeError(f"mode count overflows at nu = {self.nu:g}, V = {self.volume:g}")
-        return count
+        """rho * dnu, with two polarizations: rho(nu) = 8 pi V nu^2 (c = 1)."""
+        return 8.0 * math.pi * self.volume * self.nu**2 * self.delta_nu
 
     @classmethod
     def from_mode_count(cls, nu: float, delta_nu: float, mode_count: float) -> "BandSpec":
-        """The band whose volume holds mode_count modes; SizeError when 8 pi nu^2 dnu overflows."""
-        try:
-            modes_per_volume = 8.0 * math.pi * nu**2 * delta_nu
-        except OverflowError:
-            modes_per_volume = math.inf
-        if math.isinf(modes_per_volume):
-            raise SizeError(f"modes per unit volume overflow at nu = {nu:g}, delta_nu = {delta_nu:g}")
-        return cls(nu=nu, delta_nu=delta_nu, volume=mode_count / modes_per_volume)
+        """The band whose volume holds mode_count modes: mode_count over the count at V = 1."""
+        per_volume = cls(nu, delta_nu, 1.0).mode_count()  # 0 once nu^2 dnu underflows
+        return cls(nu, delta_nu, mode_count / per_volume if per_volume else math.inf)
 
 
+@_finite
 def mean_energy(state: ThermoState) -> float:
-    """Mean photon-gas energy 3*T*log Z = V * (pi^2/15) * T^4; SizeError past double range."""
-    energy = 3.0 * state.temperature * log_grand_partition_integral(state)
-    if math.isinf(energy):
-        raise SizeError(f"mean energy overflows at V = {state.volume:g}, T = {state.temperature:g}")
-    return energy
+    """Mean photon-gas energy 3*T*log Z = V * (pi^2/15) * T^4."""
+    return 3.0 * state.temperature * log_grand_partition_integral(state)
 
 
+@_finite
 def mean_energy_finite_difference(state: ThermoState) -> float:
     """-d(log Z)/d(beta) by central difference, the oracle for mean_energy."""
     beta = state.beta
@@ -102,12 +91,14 @@ def mean_energy_finite_difference(state: ThermoState) -> float:
     return -(log_grand_partition_integral(hi) - log_grand_partition_integral(lo)) / (2.0 * h)
 
 
+@_finite
 def photon_number_density(state: ThermoState) -> float:
     """Average photon density (2/pi^2) * T^3 * zeta(3)."""
     _require_photon_fugacity(state)
-    return _photon_cycle_term(state.temperature) * riemann_zeta(3.0)
+    return _photon_prefactor(state.temperature) * riemann_zeta(3.0)
 
 
+@_finite
 def photon_number_density_cycle_sum(state: ThermoState) -> float:
     """The same density as sum_s f_s (an s-cycle holds s photons, weight f_s/s).
 
@@ -116,7 +107,7 @@ def photon_number_density_cycle_sum(state: ThermoState) -> float:
     below 1e-12 relative.
     """
     _require_photon_fugacity(state)
-    return _photon_cycle_term(state.temperature) * _closed_power_sum(DENSITY_CYCLE_SUM_S_MAX, 3.0)
+    return _photon_prefactor(state.temperature) * _closed_power_sum(DENSITY_CYCLE_SUM_S_MAX, 3.0)
 
 
 def coherence_volume_photon_count(state: ThermoState) -> float:
@@ -148,7 +139,7 @@ def energy_variance(state: ThermoState, s_max: int = 100) -> FluctuationReport:
     if math.isinf(max(mean, variance, relative)):
         raise SizeError(f"energy moments leave double precision at V = {state.volume:g}, T = {t:g}")
     s = np.arange(1, s_max + 1, dtype=float)
-    shares = 12.0 * t**2 * _photon_cycle_term(t, state.volume, s, 4)
+    shares = 12.0 * t**2 * (_photon_prefactor(t, state.volume) / s**4)
     per_cycle = dict(enumerate(shares.tolist(), start=1))
     return FluctuationReport(
         mean_energy=mean,
@@ -158,6 +149,7 @@ def energy_variance(state: ThermoState, s_max: int = 100) -> FluctuationReport:
     )
 
 
+@_finite
 def energy_variance_finite_difference(state: ThermoState) -> float:
     """d^2(log Z)/d(beta)^2 by a 5-point central stencil, the variance oracle."""
     beta = state.beta
@@ -175,14 +167,14 @@ def energy_variance_finite_difference(state: ThermoState) -> float:
     ) / (12.0 * h * h)
 
 
+@_finite
 def band_fluctuation(state: ThermoState, band: BandSpec):
     """Relative energy fluctuation of a band and its particle/wave split.
 
     Returns (relative_fluctuation, wave_term, particle_term) with
     relative = <dE^2>/<E>^2, particle = h*nu/<E>, wave = 1/(rho * dnu).
     The identity relative = particle + wave is exact.  Raises SizeError deep
-    in the Wien tail, where the occupation or <E>^2 underflows, and where
-    <E>^2 or the variance overflows.
+    in the Wien tail, where the occupation or <E>^2 underflows.
     """
     _require_photon_fugacity(state)
     modes = band.mode_count()
@@ -194,13 +186,10 @@ def band_fluctuation(state: ThermoState, band: BandSpec):
     x = photon_energy / state.temperature
     occupation = _planck_occupation(x)
     mean = modes * photon_energy * occupation
-    try:
-        mean_squared = mean**2
-        variance = modes * photon_energy**2 * occupation * (occupation + 1.0)
-    except OverflowError:
-        mean_squared = math.inf
-    if not 0.0 < mean_squared < math.inf:
-        raise SizeError(f"band fluctuation leaves double precision at h nu / kT = {x:g}")
+    mean_squared = mean**2
+    if mean_squared == 0.0:
+        raise SizeError(f"<E>^2 of the band underflows at h nu / kT = {x:g}")
+    variance = modes * photon_energy**2 * occupation * (occupation + 1.0)
     return variance / mean_squared, 1.0 / modes, photon_energy / mean
 
 
@@ -214,6 +203,7 @@ def _planck_occupation(x: float) -> float:
         return math.exp(-x)
 
 
+@_finite
 def planck_spectral_density(state: ThermoState, nu: float) -> float:
     """Planck energy density per unit frequency, u(nu) = 16 pi^2 nu^3 / (e^{2 pi nu/T} - 1).
 
@@ -225,24 +215,18 @@ def planck_spectral_density(state: ThermoState, nu: float) -> float:
         raise DomainError(f"frequency must be > 0, got {nu}")
     x = 2.0 * math.pi * nu / state.temperature
     occupation = _planck_occupation(x)
-    try:
-        if occupation < sys.float_info.min:
-            # e^-x is subnormal or 0 past x ~ 708, while nu^3 e^-x may be a normal
-            # double.  16 pi^2 nu^3 e^-x = (2 sqrt(pi) nu^(3/4) e^(-x/8) e^(-x/8))^4:
-            # x/8 is exact and no factor leaves double range before the result
-            # does.  exp(log(16 pi^2) + 3 log nu - x) would round an exponent of
-            # size |3 log nu|, up to 2e-13 relative; this stays within 1e-14.
-            eighth = math.exp(-x / 8.0)
-            density = (TWO_SQRT_PI * nu**0.75 * eighth * eighth) ** 4
-        else:
-            density = 16.0 * math.pi**2 * nu**3 * occupation
-    except OverflowError:
-        density = math.inf
-    if not math.isfinite(density):
-        raise SizeError(f"Planck density leaves double precision at h nu / kT = {x:g}")
-    return density
+    if occupation < sys.float_info.min:
+        # e^-x is subnormal or 0 past x ~ 708, while nu^3 e^-x may be a normal
+        # double.  16 pi^2 nu^3 e^-x = (2 sqrt(pi) nu^(3/4) e^(-x/8) e^(-x/8))^4:
+        # x/8 is exact and no factor leaves double range before the result
+        # does.  exp(log(16 pi^2) + 3 log nu - x) would round an exponent of
+        # size |3 log nu|, up to 2e-13 relative; this stays within 1e-14.
+        eighth = math.exp(-x / 8.0)
+        return (TWO_SQRT_PI * nu**0.75 * eighth * eighth) ** 4
+    return 16.0 * math.pi**2 * nu**3 * occupation
 
 
+@_finite
 def spectral_energy_density_integral(state: ThermoState) -> float:
     """Energy density from quadrature of the Planck spectrum over all nu.
 

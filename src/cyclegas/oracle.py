@@ -21,7 +21,7 @@ from itertools import count
 
 import numpy as np
 
-from .core import ConvergenceError, DomainError, SizeError, _require_integer
+from .core import ConvergenceError, DomainError, SizeError, _finite, _require_integer
 from .partition import ENUMERATION_LIMIT, CycleSumSequence, canonical_partition_enumerated
 
 OCCUPATION_VECTOR_LIMIT = 10**7
@@ -102,6 +102,7 @@ def load_spectrum(path) -> ModeSpectrum:
     return ModeSpectrum.from_modes(energies, degeneracies)
 
 
+@_finite
 def grand_partition_product(spectrum: ModeSpectrum, z: float, beta: float) -> float:
     """Textbook mode product prod_j (1 - z e^{-beta e_j})^(-g_j), exact."""
     occupancies = z * np.exp(-beta * spectrum.expanded_energies())
@@ -115,6 +116,7 @@ def grand_partition_product(spectrum: ModeSpectrum, z: float, beta: float) -> fl
     return result
 
 
+@_finite
 def grand_partition_cycle(spectrum: ModeSpectrum, z: float, beta: float) -> float:
     """Discrete cycle expansion exp(sum_s z^s C_s / s) of the grand product.
 

@@ -29,8 +29,8 @@ from itertools import islice
 import numpy as np
 
 from .core import ConvergenceError, DomainError, SizeError, ThermoState, bose_integral, polylog
-from .core import _quad, _require_integer, _require_photon_fugacity
-from .cycle_weights import _photon_cycle_term, matter_cycle_weight
+from .core import _finite, _quad, _require_integer, _require_photon_fugacity
+from .cycle_weights import _photon_prefactor, matter_cycle_weight
 
 ENUMERATION_LIMIT = 25  # p(25) = 1958 cycle types, factorials < 2**128
 GRAND_SUM_REL_CUTOFF = 1e-16
@@ -92,7 +92,7 @@ class CycleSumSequence:
     def from_photon_gas(cls, state: ThermoState, s_max: int) -> "CycleSumSequence":
         _require_photon_fugacity(state)
         s = np.arange(1, _require_integer("s_max", s_max, 1) + 1, dtype=float)
-        return cls(values=_photon_cycle_term(state.temperature, state.volume, s, 3))
+        return cls(values=_photon_prefactor(state.temperature, state.volume) / s**3)
 
     @classmethod
     def from_spectrum(cls, energies, degeneracies, beta: float, s_max: int) -> "CycleSumSequence":
@@ -123,22 +123,15 @@ def _closed_power_sum(s_max: int, power: float) -> float:
     return float(np.sum(s ** (-power))) + 0.5 * (lo + hi)
 
 
+@_finite
 def log_grand_partition_integral(state: ThermoState) -> float:
-    """log Z of the photon gas from the momentum integral of p^3/(e^p - 1).
-
-    Raises SizeError when log Z overflows double precision.
-    """
+    """log Z of the photon gas from the momentum integral of p^3/(e^p - 1)."""
     _require_photon_fugacity(state)
-    try:
-        # volume multiplies last so that log Z(V) = V * log Z(1) holds exactly
-        log_z = state.volume * (state.temperature**3 / (3.0 * math.pi**2) * bose_integral(3))
-    except OverflowError:  # a float temperature**3 raises rather than giving inf
-        log_z = math.inf
-    if math.isinf(log_z):
-        raise SizeError(f"log Z overflows at V = {state.volume:g}, T = {state.temperature:g}")
-    return log_z
+    # volume multiplies last so that log Z(V) = V * log Z(1) holds exactly
+    return state.volume * (state.temperature**3 / (3.0 * math.pi**2) * bose_integral(3))
 
 
+@_finite
 def log_grand_partition_cycle_series(state: ThermoState) -> float:
     """log Z of the photon gas as V * sum_s f_s / s.
 
@@ -149,9 +142,10 @@ def log_grand_partition_cycle_series(state: ThermoState) -> float:
     """
     _require_photon_fugacity(state)
     total = _closed_power_sum(CYCLE_SERIES_S_MAX, 4.0)
-    return _photon_cycle_term(state.temperature, state.volume) * total
+    return _photon_prefactor(state.temperature, state.volume) * total
 
 
+@_finite
 def log_grand_partition_product_form(state: ThermoState, s_max: int) -> np.ndarray:
     """Running log of the partial products of Z = prod_s exp(V f_s / s).
 
@@ -162,7 +156,7 @@ def log_grand_partition_product_form(state: ThermoState, s_max: int) -> np.ndarr
     """
     _require_photon_fugacity(state)
     s = np.arange(1, _require_integer("s_max", s_max, 1) + 1, dtype=float)
-    return np.cumsum(_photon_cycle_term(state.temperature, state.volume, s, 4))
+    return np.cumsum(_photon_prefactor(state.temperature, state.volume) / s**4)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True must reach the check, not a cached np.int64(1)
@@ -202,7 +196,7 @@ def _canonical_recursion(C: CycleSumSequence):
     (exact in binary) and the dot is redone, so Z_n stays finite whenever
     it fits in a double even though n Z_n does not.  Until a rescale fires
     the values are exactly those of the plain dot product.  A Z_n past
-    double range raises SizeError.
+    double range raises SizeError, here or from the callers' gate on ldexp.
 
     Each Z_n is computed as soon as it is asked for, so a caller that stops
     early pays only for the terms it used.
@@ -221,15 +215,13 @@ def _canonical_recursion(C: CycleSumSequence):
             y = float(np.dot(c[:n], window))
         y /= n
         reversed_z[top - n] = y
-        try:
-            z_n = math.ldexp(y, shift)
-        except OverflowError:
-            z_n = math.inf
+        z_n = math.ldexp(y, shift)
         if not z_n < math.inf:
             raise SizeError(f"Z_{n} = {y:g} * 2**{shift} overflows double precision")
         yield z_n
 
 
+@_finite
 def canonical_partition_table(C: CycleSumSequence, N: int) -> np.ndarray:
     """Array of Z_0, Z_1, ..., Z_N from the cycle-sum recursion."""
     N = _require_integer("particle number N", N, 0)
@@ -238,6 +230,7 @@ def canonical_partition_table(C: CycleSumSequence, N: int) -> np.ndarray:
     return np.array([1.0, *islice(_canonical_recursion(C), N)])
 
 
+@_finite
 def canonical_partition_enumerated(C: CycleSumSequence, N: int):
     """Z_N as an explicit sum over all cycle distributions of N particles.
 
@@ -265,6 +258,7 @@ def canonical_partition_enumerated(C: CycleSumSequence, N: int):
     return total, tuple(weights)
 
 
+@_finite
 def grand_partition_from_canonical(C: CycleSumSequence, z: float) -> float:
     """Grand sum sum_N z**N Z_N built from the canonical recursion.
 
@@ -286,6 +280,7 @@ def grand_partition_from_canonical(C: CycleSumSequence, z: float) -> float:
     )
 
 
+@_finite
 def bose_number_density_cycle(state: ThermoState, mass: float) -> float:
     """Massive-boson number density from the fugacity-weighted cycle sum.
 
@@ -296,6 +291,7 @@ def bose_number_density_cycle(state: ThermoState, mass: float) -> float:
     return matter_cycle_weight(state, mass, 1) * polylog(1.5, state.fugacity)
 
 
+@_finite
 def bose_number_density_integral(state: ThermoState, mass: float) -> float:
     """Independent momentum-integral route to the Bose number density.
 

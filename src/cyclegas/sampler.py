@@ -31,7 +31,7 @@ import numpy as np
 
 from ._output import dumps
 from .core import DomainError, SizeError, ThermoState, _require_integer, _require_photon_fugacity
-from .cycle_weights import _photon_cycle_term
+from .cycle_weights import _photon_prefactor
 from .partition import CycleDistribution, tail_bracket
 
 # Largest replicas * V * T^3 that SampleConfig accepts.  At this limit the
@@ -119,7 +119,7 @@ def _rekey(bit_generator: np.random.Philox, seed: int, replica: int) -> None:
 def cycle_mean_counts(config: SampleConfig) -> np.ndarray:
     """lambda_s = V * f_s / s for s = 1..s_max."""
     s = np.arange(1, config.s_max + 1, dtype=float)
-    return _photon_cycle_term(config.state.temperature, config.state.volume, s, 4)
+    return _photon_prefactor(config.state.temperature, config.state.volume) / s**4
 
 
 def _draw(rng: np.random.Generator, lam: np.ndarray, temperature: float):
@@ -190,7 +190,7 @@ def estimate_observables(config: SampleConfig) -> SampleReport:
 
     # mass of the discarded tail sum_{s > s_max} V f_s / s, bracket midpoint
     lo, hi = tail_bracket(config.s_max, 4.0)
-    tail = _photon_cycle_term(state.temperature, state.volume) * (0.5 * (lo + hi))
+    tail = _photon_prefactor(state.temperature, state.volume) * (0.5 * (lo + hi))
 
     estimates = {
         "total_energy": {"mean": mean_e, "se": se_e},

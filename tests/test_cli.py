@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 
 import pytest
 
@@ -41,6 +42,20 @@ class TestWeightsCommand:
         rows = out.strip().split("\n")[1:]
         assert abs(float(rows[0].split(",")[1]) - 1.0) < 1e-9
         assert abs(float(rows[1].split(",")[1]) - 2.0**-1.5) < 1e-9
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--dispersion", "massive", "--mass", "1e200", "--temperature", "1e200"],  # m T = inf
+            ["--dispersion", "massive", "--mass", "1e150", "--temperature", "1e150"],  # ** 1.5 raises
+            ["--units", "si", "--temperature", "1e101"],  # f_s fits, f_s / (hbar c)^3 does not
+        ],
+        ids=["m T inf", "m T 1e300", "SI f_s"],
+    )
+    def test_weights_past_double_range_are_size_errors(self, capsys, flags):
+        code, out, err = run(capsys, ["weights", *flags])
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR 2:")
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, ["weights", "--s-max", "2", "--format", "json"])
@@ -108,6 +123,14 @@ class TestSpectrumCommand:
     def test_grid_validation(self, capsys):
         code, _, err = run(capsys, ["spectrum", "--x-min", "5", "--x-max", "1"])
         assert code == 2
+
+    def test_planck_density_past_double_range_is_an_error_not_a_warning(self, capsys):
+        # nu^3 overflows at T = kB * 1e280; it must raise SizeError, not warn and give inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["spectrum", "--units", "si", "--temperature", "1e280"])
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR 2:")
 
 
 class TestDensityCommand:

@@ -11,6 +11,7 @@ from cyclegas import core
 from cyclegas.core import (
     ConvergenceError,
     DomainError,
+    SizeError,
     ThermoState,
     UnitsPolicy,
     bose_integral,
@@ -103,6 +104,15 @@ class TestBoseIntegral:
         # 171! zeta(172) overflows a double; the rule's sum must not pass as inf
         with pytest.raises(ConvergenceError, match=re.escape("bose_quadrature(171)")):
             bose_quadrature(171)
+
+    def test_orders_past_double_range_raise(self):
+        # 170! zeta(171) = 7.3e306 is the last order inside double range
+        assert math.isfinite(bose_integral(170))
+        with pytest.raises(SizeError):
+            bose_integral(171)
+        # the integrand's peak e^(n log n - n) itself overflows from n = 172
+        with pytest.raises(SizeError):
+            bose_quadrature(172)
 
     @pytest.mark.parametrize("n", [0, 2.5, True])
     def test_quadrature_domain(self, n):
