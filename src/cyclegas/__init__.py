@@ -14,11 +14,11 @@ from .core import (
     riemann_zeta,
 )
 from .cycle_weights import (
-    Dispersion,
-    cycle_weight_by_quadrature,
     decay_comparison,
     matter_cycle_weight,
+    matter_cycle_weight_by_quadrature,
     photon_cycle_weight,
+    photon_cycle_weight_by_quadrature,
 )
 from .observables import (
     BandSpec,
@@ -44,7 +44,6 @@ from .oracle import (
     load_spectrum,
 )
 from .partition import (
-    CycleDistribution,
     CycleSumSequence,
     bose_number_density_cycle,
     bose_number_density_integral,

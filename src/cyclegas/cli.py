@@ -180,8 +180,9 @@ def cmd_spectrum(args, units: UnitsPolicy) -> str:
 def cmd_fluctuations(args, units: UnitsPolicy) -> str:
     state = _state(args, units)
     report = observables.energy_variance(state, s_max=args.s_max)
+    # the internal energy unit is the joule, so energies pass through in SI
     payload = {
-        "mean_energy": units.energy_to_si(report.mean_energy),
+        "mean_energy": report.mean_energy,
         "variance": report.variance,
         "relative_fluctuation": report.relative_fluctuation,
         "per_cycle_contribution": {

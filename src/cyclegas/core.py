@@ -163,10 +163,6 @@ class UnitsPolicy:
     def volume_to_si(self, v: float) -> float:
         return v * self.length_unit_m**3
 
-    def energy_to_si(self, e: float) -> float:
-        # the internal energy unit is the joule, so the number passes through
-        return e
-
     @_finite
     def frequency_to_si(self, nu: float) -> float:
         return nu / self.time_unit_s
@@ -214,8 +210,8 @@ def riemann_zeta(r: float) -> float:
     for every r above the domain cutoff: there the bound is below
     0.06 * 1024.5**-4 ~ 5.4e-14 and shrinks as r grows, while zeta(r) > 1.
     """
-    if not r > 1.0 + 1e-9:
-        raise DomainError(f"zeta series diverges for r <= 1 (got r = {r})")
+    if not 1.0 + 1e-9 < r < math.inf:
+        raise DomainError(f"zeta series needs a finite r > 1 (got r = {r})")
     value = math.inf
     for n_terms in _ZETA_TRUNCATIONS:
         s = np.arange(1.0, n_terms + 1.0)
@@ -239,6 +235,8 @@ def polylog(r: float, z: float) -> float:
     """
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"polylog requires 0 <= z <= 1, got z = {z}")
+    if not math.isfinite(r):
+        raise DomainError(f"polylog requires a finite order, got r = {r}")
     if z == 0.0:
         return 0.0
     if z == 1.0:

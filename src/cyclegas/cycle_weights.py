@@ -18,7 +18,6 @@ integrals numerically and is the independent check on the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,42 +27,17 @@ from .core import _finite, _quad, _require_integer, _require_photon_fugacity
 TWO_OVER_PI_SQUARED = 2.0 / math.pi**2
 
 
-@dataclass(frozen=True)
-class Dispersion:
-    """Single-particle energy law plus internal degeneracy.
-
-    kind "photon" means energy(p) = p with two helicity states; kind
-    "massive" means energy(p) = p^2 / (2 mass) with one internal state.
-    """
-
-    kind: str
-    mass: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("photon", "massive"):
-            raise DomainError(f"dispersion kind must be 'photon' or 'massive', got {self.kind!r}")
-        if self.kind == "massive":
-            if self.mass is None or not self.mass > 0.0:
-                raise DomainError("massive dispersion requires mass > 0")
-
-    @property
-    def internal_degeneracy(self) -> int:
-        return 2 if self.kind == "photon" else 1
-
-    @classmethod
-    def photon(cls) -> "Dispersion":
-        return cls(kind="photon")
-
-    @classmethod
-    def massive(cls, mass: float) -> "Dispersion":
-        return cls(kind="massive", mass=mass)
-
-
 @_finite
 def _photon_prefactor(temperature, volume=1.0):
     """V (2/pi^2) T^3, the one place the photon cycle weight is written: V f_s is
     this over s**3, and the mean number V f_s / s of s-cycles this over s**4."""
     return volume * TWO_OVER_PI_SQUARED * temperature**3
+
+
+def _photon_cycle_means(state: ThermoState, s_max: int) -> np.ndarray:
+    """lambda_s = V f_s / s, the mean number of s-cycles, for s = 1..s_max."""
+    s = np.arange(1, s_max + 1, dtype=float)
+    return _photon_prefactor(state.temperature, state.volume) / s**4
 
 
 def photon_cycle_weight(state: ThermoState, s: int) -> float:
@@ -88,24 +62,28 @@ def _exp_moment(power: float) -> float:
 
 
 @_finite
-def cycle_weight_by_quadrature(dispersion: Dispersion, state: ThermoState, s: int) -> float:
-    """Numerical momentum integral g * int exp(-beta*energy(p)*s) 4 pi p^2 dp/(2 pi)^3.
+def photon_cycle_weight_by_quadrature(state: ThermoState, s: int) -> float:
+    """Oracle for photon_cycle_weight: 2 int exp(-beta p s) 4 pi p^2 dp / (2 pi)^3.
 
-    The substitution u = beta * energy(p) * s removes every parameter from
-    the quadrature itself, so the accuracy is uniform in s and T; the
-    remaining scale factor is exact arithmetic.  Serves as the independent
-    oracle for the two closed-form weights.
+    The substitution u = beta p s (u = beta s p^2 / 2m for matter) leaves no
+    parameter in the quadrature, so its accuracy is uniform in s and T.
     """
+    _require_photon_fugacity(state)
     s = _require_integer("cycle size s", s, 1)
-    g = dispersion.internal_degeneracy
-    beta = state.beta
-    if dispersion.kind == "photon":
-        # p = u/(beta s):  p^2 dp -> (beta s)^-3 u^2 du
-        moment = _exp_moment(2.0)
-        return g / (2.0 * math.pi**2) * (state.temperature / s) ** 3 * moment
+    # p = u/(beta s):  p^2 dp -> (beta s)^-3 u^2 du
+    moment = _exp_moment(2.0)
+    return 1.0 / math.pi**2 * (state.temperature / s) ** 3 * moment
+
+
+@_finite
+def matter_cycle_weight_by_quadrature(state: ThermoState, mass: float, s: int) -> float:
+    """Oracle for matter_cycle_weight: int exp(-beta s p^2 / 2m) 4 pi p^2 dp / (2 pi)^3."""
+    s = _require_integer("cycle size s", s, 1)
+    if not mass > 0.0:
+        raise DomainError(f"mass must be > 0, got {mass}")
     # u = beta s p^2/(2m):  p^2 dp -> (2m/(beta s))^(3/2) sqrt(u)/2 du
     moment = _exp_moment(0.5)
-    return g / (4.0 * math.pi**2) * (2.0 * dispersion.mass / (beta * s)) ** 1.5 * moment
+    return 1.0 / (4.0 * math.pi**2) * (2.0 * mass / (state.beta * s)) ** 1.5 * moment
 
 
 def decay_comparison(s_max: int) -> np.ndarray:

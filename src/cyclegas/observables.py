@@ -23,11 +23,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import DomainError, SizeError, ThermoState, bose_quadrature, riemann_zeta
 from .core import _finite, _require_integer, _require_photon_fugacity
-from .cycle_weights import _photon_prefactor
+from .cycle_weights import _photon_cycle_means, _photon_prefactor
 from .partition import _closed_power_sum, log_grand_partition_integral
 
 DENSITY_CYCLE_SUM_S_MAX = 10**4
@@ -138,8 +136,7 @@ def energy_variance(state: ThermoState, s_max: int = 100) -> FluctuationReport:
     relative = 4.0 / (3.0 * log_z) if log_z > 0.0 else math.inf  # log Z underflows at tiny V T^3
     if math.isinf(max(mean, variance, relative)):
         raise SizeError(f"energy moments leave double precision at V = {state.volume:g}, T = {t:g}")
-    s = np.arange(1, s_max + 1, dtype=float)
-    shares = 12.0 * t**2 * (_photon_prefactor(t, state.volume) / s**4)
+    shares = 12.0 * t**2 * _photon_cycle_means(state, s_max)
     per_cycle = dict(enumerate(shares.tolist(), start=1))
     return FluctuationReport(
         mean_energy=mean,

@@ -28,6 +28,12 @@ OCCUPATION_VECTOR_LIMIT = 10**7
 EXPANSION_LIMIT = 10**7
 
 
+def _require_beta(beta: float) -> None:
+    """beta = 1/T must be finite and > 0."""
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"beta must be finite and > 0, got {beta}")
+
+
 @dataclass(frozen=True)
 class ModeSpectrum:
     """Finite list of single-particle energies with integer degeneracies."""
@@ -42,8 +48,8 @@ class ModeSpectrum:
             raise DomainError("spectrum must contain at least one mode")
         if e.shape != g.shape:
             raise DomainError("energies and degeneracies must have equal length")
-        if np.any(e < 0.0):
-            raise DomainError("mode energies must be >= 0")
+        if not np.all((e >= 0.0) & (e < np.inf)):
+            raise DomainError("mode energies must be finite and >= 0")
         if np.any(np.diff(e) < 0.0):
             raise DomainError("mode energies must be sorted ascending")
         if np.any(g < 1):
@@ -71,7 +77,9 @@ class ModeSpectrum:
 
     def cycle_sums(self, beta: float, s_max: int) -> CycleSumSequence:
         """C_s = sum_j g_j exp(-beta e_j s) for s = 1..s_max."""
-        return CycleSumSequence.from_spectrum(self.energies, self.degeneracies, beta, s_max)
+        _require_beta(beta)
+        s = np.arange(1, _require_integer("s_max", s_max, 1) + 1, dtype=float)
+        return CycleSumSequence(values=np.exp(-beta * np.outer(s, self.energies)) @ self.degeneracies)
 
 
 def load_spectrum(path) -> ModeSpectrum:
@@ -105,6 +113,7 @@ def load_spectrum(path) -> ModeSpectrum:
 @_finite
 def grand_partition_product(spectrum: ModeSpectrum, z: float, beta: float) -> float:
     """Textbook mode product prod_j (1 - z e^{-beta e_j})^(-g_j), exact."""
+    _require_beta(beta)
     occupancies = z * np.exp(-beta * spectrum.expanded_energies())
     if np.any(occupancies >= 1.0):
         raise DomainError(
@@ -124,6 +133,7 @@ def grand_partition_cycle(spectrum: ModeSpectrum, z: float, beta: float) -> floa
     q = z * exp(-beta * e_min), which must stay <= 0.9; the sum stops once
     the geometric tail bound drops below 1e-13 of it.
     """
+    _require_beta(beta)
     if not z >= 0.0:
         raise DomainError(f"fugacity must be >= 0, got {z}")
     g = spectrum.degeneracies.astype(float)
@@ -152,6 +162,7 @@ def canonical_by_occupation(spectrum: ModeSpectrum, N: int, beta: float) -> floa
     0..j-1, so it is tabulated once, from the last mode down, and each entry
     is added up in the order of the plain enumeration: M (N + 1)^2 / 2 terms.
     """
+    _require_beta(beta)
     N = _require_integer("particle number N", N, 0)
     if N == 0:
         return 1.0

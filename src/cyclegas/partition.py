@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import ConvergenceError, DomainError, SizeError, ThermoState, bose_integral, polylog
 from .core import _finite, _quad, _require_integer, _require_photon_fugacity
-from .cycle_weights import _photon_prefactor, matter_cycle_weight
+from .cycle_weights import _photon_cycle_means, _photon_prefactor, matter_cycle_weight
 
 ENUMERATION_LIMIT = 25  # p(25) = 1958 cycle types, factorials < 2**128
 GRAND_SUM_REL_CUTOFF = 1e-16
@@ -40,25 +40,6 @@ RESCALE_ABOVE = 2.0**900
 RESCALE_BITS = 600
 # the first power of two from 64 at which tail_bracket(s_max, 4) is narrower than 1e-12
 CYCLE_SERIES_S_MAX = 1024
-
-
-@dataclass(frozen=True)
-class CycleDistribution:
-    """One cycle type: xi_s cycles of size s, with sum_s s*xi_s = n_total."""
-
-    multiplicities: dict
-    n_total: int
-
-    def __post_init__(self):
-        total = 0
-        for s, xi in self.multiplicities.items():
-            if s < 1 or xi < 1:
-                raise DomainError("cycle sizes and multiplicities must be >= 1")
-            total += s * xi
-        if total != self.n_total:
-            raise DomainError(
-                f"sum of s * xi_s is {total}, does not match n_total = {self.n_total}"
-            )
 
 
 @dataclass(frozen=True)
@@ -94,13 +75,6 @@ class CycleSumSequence:
         s = np.arange(1, _require_integer("s_max", s_max, 1) + 1, dtype=float)
         return cls(values=_photon_prefactor(state.temperature, state.volume) / s**3)
 
-    @classmethod
-    def from_spectrum(cls, energies, degeneracies, beta: float, s_max: int) -> "CycleSumSequence":
-        e = np.asarray(energies, dtype=float)
-        g = np.asarray(degeneracies, dtype=float)
-        s = np.arange(1, _require_integer("s_max", s_max, 1) + 1, dtype=float)
-        return cls(values=np.exp(-beta * np.outer(s, e)) @ g)
-
 
 def tail_bracket(s_max: int, power: float):
     """Two-sided integral bounds on sum_{s > s_max} s**(-power).
@@ -109,8 +83,8 @@ def tail_bracket(s_max: int, power: float):
     s_max of x**(-power); the true tail lies strictly between them.
     """
     s_max = _require_integer("s_max", s_max, 1)
-    if power <= 1.0:
-        raise DomainError("tail bracket requires power > 1")
+    if not power > 1.0:
+        raise DomainError(f"tail bracket requires power > 1, got {power}")
     lo = (s_max + 1.0) ** (1.0 - power) / (power - 1.0)
     hi = float(s_max) ** (1.0 - power) / (power - 1.0)
     return lo, hi
@@ -155,8 +129,7 @@ def log_grand_partition_product_form(state: ThermoState, s_max: int) -> np.ndarr
     sum_xi lambda**xi / xi! = exp(lambda), is checked in Tier-1.
     """
     _require_photon_fugacity(state)
-    s = np.arange(1, _require_integer("s_max", s_max, 1) + 1, dtype=float)
-    return np.cumsum(_photon_prefactor(state.temperature, state.volume) / s**4)
+    return np.cumsum(_photon_cycle_means(state, _require_integer("s_max", s_max, 1)))
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True must reach the check, not a cached np.int64(1)

@@ -31,8 +31,8 @@ import numpy as np
 
 from ._output import dumps
 from .core import DomainError, SizeError, ThermoState, _require_integer, _require_photon_fugacity
-from .cycle_weights import _photon_prefactor
-from .partition import CycleDistribution, tail_bracket
+from .cycle_weights import _photon_cycle_means, _photon_prefactor
+from .partition import tail_bracket
 
 # Largest replicas * V * T^3 that SampleConfig accepts.  At this limit the
 # largest Poisson mean, lambda_1 = (2/pi^2) V T^3 <= 2.1e17, is far below
@@ -72,7 +72,6 @@ class SampleReport:
 
     estimates: dict
     histogram: dict
-    n_replicas: int
     config: dict
 
     def to_json(self) -> str:
@@ -116,33 +115,22 @@ def _rekey(bit_generator: np.random.Philox, seed: int, replica: int) -> None:
     }
 
 
-def cycle_mean_counts(config: SampleConfig) -> np.ndarray:
-    """lambda_s = V * f_s / s for s = 1..s_max."""
-    s = np.arange(1, config.s_max + 1, dtype=float)
-    return _photon_prefactor(config.state.temperature, config.state.volume) / s**4
-
-
 def _draw(rng: np.random.Generator, lam: np.ndarray, temperature: float):
     """(xi, E): cycle counts xi_s ~ Poisson(lam_s), then E ~ Gamma(3 sum xi, T)."""
     xi = rng.poisson(lam)
     return xi, rng.gamma(3 * xi.sum(), temperature)
 
 
-def _draw_replica(config: SampleConfig, replica: int, lam: np.ndarray):
-    """_draw from the stream of one replica."""
-    return _draw(stream(config.seed, replica), lam, config.state.temperature)
+def sample_cycle_configuration(config: SampleConfig, replica: int = 0) -> dict:
+    """The cycle configuration {s: xi_s}, xi_s ~ Poisson(V f_s / s), of one replica.
 
-
-def sample_cycle_configuration(config: SampleConfig, replica: int = 0) -> CycleDistribution:
-    """The cycle configuration xi_s ~ Poisson(V f_s / s) of one replica.
-
-    It is the configuration behind that replica of estimate_observables(config).
+    Only occupied cycle sizes appear.  It is the configuration behind that
+    replica of estimate_observables(config).
     """
     _require_integer("replica", replica, 0)
-    xi, _energy = _draw_replica(config, replica, cycle_mean_counts(config))
-    multiplicities = {s: n for s, n in enumerate(xi.tolist(), start=1) if n > 0}
-    n_total = sum(s * n for s, n in multiplicities.items())
-    return CycleDistribution(multiplicities=multiplicities, n_total=n_total)
+    lam = _photon_cycle_means(config.state, config.s_max)
+    xi, _energy = _draw(stream(config.seed, replica), lam, config.state.temperature)
+    return {s: n for s, n in enumerate(xi.tolist(), start=1) if n > 0}
 
 
 def estimate_observables(config: SampleConfig) -> SampleReport:
@@ -155,7 +143,7 @@ def estimate_observables(config: SampleConfig) -> SampleReport:
     The histogram counts photons, s per s-cycle, summed over replicas.
     """
     state = config.state
-    lam = cycle_mean_counts(config)
+    lam = _photon_cycle_means(state, config.s_max)
     sizes = np.arange(1, config.s_max + 1)
     totals_e = np.empty(config.replicas)
     totals_n = np.empty(config.replicas, dtype=np.int64)
@@ -207,9 +195,7 @@ def estimate_observables(config: SampleConfig) -> SampleReport:
         "fugacity": state.fugacity,
         "truncated_tail": tail,
     }
-    return SampleReport(
-        estimates=estimates, histogram=histogram, n_replicas=r, config=report_config
-    )
+    return SampleReport(estimates=estimates, histogram=histogram, config=report_config)
 
 
 def histogram_loglog_slope(histogram: dict) -> float:

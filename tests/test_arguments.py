@@ -91,7 +91,7 @@ def test_every_flag_is_read_or_refused(command, action, tmp_path):
 
 T1 = cg.ThermoState(1.0, 2.0)
 HALF = cg.ThermoState(1.0, 1.0, 0.5)
-SUMS = cg.CycleSumSequence.from_spectrum([0.0, 1.0], [1, 2], 1.0, 5)
+SUMS = cg.ModeSpectrum.from_modes([0.0, 1.0], [1, 2]).cycle_sums(1.0, 5)
 SPECTRUM = cg.ModeSpectrum.from_modes([0.0, 1.0])
 BAND = cg.BandSpec.from_mode_count(0.5, 0.025, 100.0)
 
@@ -112,6 +112,22 @@ REFUSED_CALLS = {
     "photon cycle sums z 0.5": lambda: cg.CycleSumSequence.from_photon_gas(HALF, 5),
     "spectral integral z 0.5": lambda: cg.spectral_energy_density_integral(HALF),
     "grand cycle form z -0.5": lambda: cg.grand_partition_cycle(SPECTRUM, -0.5, 1.0),
+    "photon quadrature z 0.5": lambda: cg.photon_cycle_weight_by_quadrature(HALF, 1),
+    "matter quadrature mass 0": lambda: cg.matter_cycle_weight_by_quadrature(T1, 0.0, 1),
+    "spectrum energy nan": lambda: cg.ModeSpectrum.from_modes([0.5, math.nan]),
+    "spectrum energy inf": lambda: cg.ModeSpectrum.from_modes([0.5, math.inf]),
+    "cycle sums beta -1": lambda: SPECTRUM.cycle_sums(-1.0, 3),
+    "cycle sums beta 0": lambda: SPECTRUM.cycle_sums(0.0, 3),
+    "grand mode product beta 0": lambda: cg.grand_partition_product(SPECTRUM, 0.5, 0.0),
+    "grand mode product beta nan": lambda: cg.grand_partition_product(SPECTRUM, 0.5, math.nan),
+    "grand cycle form beta 0": lambda: cg.grand_partition_cycle(SPECTRUM, 0.5, 0.0),
+    "occupation beta -1000": lambda: cg.canonical_by_occupation(SPECTRUM, 3, -1000.0),
+    "occupation beta inf": lambda: cg.canonical_by_occupation(SPECTRUM, 2, math.inf),
+    "zeta r inf": lambda: cg.riemann_zeta(math.inf),
+    "tail_bracket power nan": lambda: cg.tail_bracket(5, math.nan),
+    "polylog r inf": lambda: cg.polylog(math.inf, 0.5),
+    "polylog r nan": lambda: cg.polylog(math.nan, 0.5),
+    "polylog r -inf": lambda: cg.polylog(-math.inf, 0.5),
 }
 
 
@@ -201,11 +217,9 @@ OVERFLOWING_CALLS = {
     "Bose density integral, m T 1e400": lambda: cg.bose_number_density_integral(
         cg.ThermoState(1e200, 1.0, 0.5), 1e200
     ),
-    "photon weight by quadrature, T 1e150": lambda: cg.cycle_weight_by_quadrature(
-        cg.Dispersion.photon(), HOT, 1
-    ),
-    "matter weight by quadrature, m T 1e400": lambda: cg.cycle_weight_by_quadrature(
-        cg.Dispersion.massive(1e200), cg.ThermoState(1e200), 1
+    "photon weight by quadrature, T 1e150": lambda: cg.photon_cycle_weight_by_quadrature(HOT, 1),
+    "matter weight by quadrature, m T 1e400": lambda: cg.matter_cycle_weight_by_quadrature(
+        cg.ThermoState(1e200), 1e200, 1
     ),
     "spectral integral, T^4 1e320": lambda: cg.spectral_energy_density_integral(cg.ThermoState(1e80)),
     # log Z is finite (2.2e304); its difference quotients are not
@@ -273,13 +287,9 @@ def gated_calls(t, v, z, nu, mass):
         "band mode count": lambda: band.mode_count(),
         "band fluctuation": lambda: cg.band_fluctuation(photon, band),
         "band from mode count": lambda: cg.BandSpec.from_mode_count(nu, 0.05 * nu, v).volume,
-        "photon weight by quadrature": lambda: cg.cycle_weight_by_quadrature(
-            cg.Dispersion.photon(), photon, 1
-        ),
+        "photon weight by quadrature": lambda: cg.photon_cycle_weight_by_quadrature(photon, 1),
         "matter weight": lambda: cg.matter_cycle_weight(matter, mass, 1),
-        "matter weight by quadrature": lambda: cg.cycle_weight_by_quadrature(
-            cg.Dispersion.massive(mass), matter, 1
-        ),
+        "matter weight by quadrature": lambda: cg.matter_cycle_weight_by_quadrature(matter, mass, 1),
         "Bose density cycle sum": lambda: cg.bose_number_density_cycle(matter, mass),
         "Bose density integral": lambda: cg.bose_number_density_integral(matter, mass),
     }

@@ -98,6 +98,14 @@ class TestPartitionCommand:
         code, _, err = run(capsys, ["partition", "--spectrum-file", str(spectrum)])
         assert code == 2 and "n-max" in err
 
+    @pytest.mark.parametrize("energy", ["nan", "inf"])
+    def test_non_finite_energy(self, capsys, tmp_path, energy):
+        spectrum = tmp_path / "modes.txt"
+        spectrum.write_text(f"0.5\n{energy}\n")
+        code, out, err = run(capsys, ["partition", "--spectrum-file", str(spectrum), "--n-max", "2"])
+        assert code == 2 and out == ""
+        assert "mode energies must be finite" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["partition", "--spectrum-file", "/nonexistent", "--n-max", "2"])
         assert code == 2

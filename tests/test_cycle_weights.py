@@ -5,11 +5,11 @@ import pytest
 
 from cyclegas.core import DomainError, ThermoState
 from cyclegas.cycle_weights import (
-    Dispersion,
-    cycle_weight_by_quadrature,
     decay_comparison,
     matter_cycle_weight,
+    matter_cycle_weight_by_quadrature,
     photon_cycle_weight,
+    photon_cycle_weight_by_quadrature,
 )
 
 T1 = ThermoState(temperature=1.0)
@@ -62,15 +62,15 @@ class TestMatterWeight:
 
 class TestQuadratureOracle:
     def test_photon_reference_point(self):
-        value = cycle_weight_by_quadrature(Dispersion.photon(), T1, 1)
+        value = photon_cycle_weight_by_quadrature(T1, 1)
         assert rel(value, 2.0 / math.pi**2) <= 1e-9
 
     def test_massive_reference_point(self):
-        value = cycle_weight_by_quadrature(Dispersion.massive(2.0 * math.pi), T1, 1)
+        value = matter_cycle_weight_by_quadrature(T1, 2.0 * math.pi, 1)
         assert rel(value, 1.0) <= 1e-9
 
     def test_photon_s10(self):
-        value = cycle_weight_by_quadrature(Dispersion.photon(), T1, 10)
+        value = photon_cycle_weight_by_quadrature(T1, 10)
         assert rel(value, 2.0 / math.pi**2 / 1000.0) <= 1e-9
 
     @pytest.mark.parametrize("temperature", [0.1, 1.0, 10.0])
@@ -78,25 +78,11 @@ class TestQuadratureOracle:
         state = ThermoState(temperature)
         for s in range(1, 21):
             closed = photon_cycle_weight(state, s)
-            numeric = cycle_weight_by_quadrature(Dispersion.photon(), state, s)
+            numeric = photon_cycle_weight_by_quadrature(state, s)
             assert rel(numeric, closed) <= 1e-8
             closed = matter_cycle_weight(state, 3.7, s)
-            numeric = cycle_weight_by_quadrature(Dispersion.massive(3.7), state, s)
+            numeric = matter_cycle_weight_by_quadrature(state, 3.7, s)
             assert rel(numeric, closed) <= 1e-8
-
-
-class TestDispersion:
-    def test_photon_defaults_to_two_helicities(self):
-        assert Dispersion.photon().internal_degeneracy == 2
-
-    def test_massive_defaults_to_one(self):
-        assert Dispersion.massive(1.0).internal_degeneracy == 1
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            Dispersion(kind="tachyon")
-        with pytest.raises(DomainError):
-            Dispersion.massive(0.0)
 
 
 class TestDecayComparison:

@@ -12,7 +12,6 @@ from cyclegas.oracle import ModeSpectrum
 from cyclegas.partition import (
     CYCLE_SERIES_S_MAX,
     GRAND_SUM_REL_CUTOFF,
-    CycleDistribution,
     CycleSumSequence,
     bose_number_density_cycle,
     bose_number_density_integral,
@@ -269,15 +268,6 @@ class TestCanonicalEnumeration:
         assert len(cycle_types(25)) == 1958
 
 
-class TestCycleDistribution:
-    def test_constraint_enforced(self):
-        CycleDistribution(multiplicities={1: 2, 2: 1}, n_total=4)
-        with pytest.raises(DomainError):
-            CycleDistribution(multiplicities={1: 2, 2: 1}, n_total=5)
-        with pytest.raises(DomainError):
-            CycleDistribution(multiplicities={0: 1}, n_total=0)
-
-
 class TestCycleSumSequence:
     def test_photon_gas_sums(self):
         sums = CycleSumSequence.from_photon_gas(ThermoState(1.0, 2.0), 6)
@@ -286,7 +276,7 @@ class TestCycleSumSequence:
             assert rel(sums[s] * s**3, sums[1]) <= 1e-14
 
     def test_spectrum_sums_with_degeneracy(self):
-        sums = CycleSumSequence.from_spectrum([1.0, 2.0], [2, 1], 1.0, 3)
+        sums = ModeSpectrum.from_modes([1.0, 2.0], [2, 1]).cycle_sums(1.0, 3)
         for s in range(1, 4):
             expected = 2.0 * math.exp(-s) + math.exp(-2.0 * s)
             assert rel(sums[s], expected) <= 1e-15
@@ -309,13 +299,13 @@ class TestGrandCanonicalConsistency:
         rng = np.random.default_rng(19)
         energies = np.sort(rng.uniform(0.3, 2.5, size=4))
         for beta in (0.5, 1.0):
-            sums = CycleSumSequence.from_spectrum(energies, np.ones(4, dtype=int), beta, 250)
+            sums = ModeSpectrum.from_modes(energies).cycle_sums(beta, 250)
             lhs = grand_partition_from_canonical(sums, z)
             rhs = math.exp(sum(z**s * sums[s] / s for s in range(1, 251)))
             assert rel(lhs, rhs) <= 1e-10
 
     def test_grand_sum_reads_the_table_values_bit_for_bit(self):
-        sums = CycleSumSequence.from_spectrum(np.arange(6.0), [1, 3, 6, 10, 15, 21], 0.5, 400)
+        sums = ModeSpectrum.from_modes(np.arange(6.0), [1, 3, 6, 10, 15, 21]).cycle_sums(0.5, 400)
         table = canonical_partition_table(sums, 400)
         z = 0.7
         total, z_power = 1.0, 1.0
@@ -329,7 +319,7 @@ class TestGrandCanonicalConsistency:
         assert grand_partition_from_canonical(sums, z) == total
 
     def test_unconverged_raises(self):
-        sums = CycleSumSequence.from_spectrum([0.05], [1], 0.1, 12)
+        sums = ModeSpectrum.from_modes([0.05]).cycle_sums(0.1, 12)
         with pytest.raises(ConvergenceError):
             grand_partition_from_canonical(sums, 0.9)
 

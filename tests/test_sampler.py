@@ -8,16 +8,15 @@ import pytest
 import scipy.stats
 
 from cyclegas.core import DomainError, SizeError, ThermoState
-from cyclegas.cycle_weights import TWO_OVER_PI_SQUARED
+from cyclegas.cycle_weights import TWO_OVER_PI_SQUARED, _photon_cycle_means
 from cyclegas.sampler import (
     SAMPLE_SIZE_LIMIT,
     SampleConfig,
-    cycle_mean_counts,
     estimate_observables,
     histogram_loglog_slope,
     sample_cycle_configuration,
     stream,
-    _draw_replica,
+    _draw,
     _rekey,
 )
 
@@ -79,11 +78,11 @@ class TestDeterminism:
     def test_replica_draw_follows_the_stream_contract(self):
         # in the replica's stream: the Poisson vector in one call, then one Gamma(3K, T) energy
         config = SampleConfig(seed=77, replicas=8, s_max=15, state=ThermoState(1.2, 40.0))
-        lam = cycle_mean_counts(config)
+        lam = _photon_cycle_means(config.state, config.s_max)
         rng = stream(77, 5)
         xi = rng.poisson(lam)
         energy = rng.gamma(3 * xi.sum(), 1.2)
-        drawn_xi, drawn_energy = _draw_replica(config, 5, lam)
+        drawn_xi, drawn_energy = _draw(stream(config.seed, 5), lam, config.state.temperature)
         assert drawn_xi.tolist() == xi.tolist() and drawn_energy == energy
 
     def test_configurations_reproduce_the_report(self):
@@ -93,10 +92,10 @@ class TestDeterminism:
         histogram = {}
         totals = []
         for replica in range(config.replicas):
-            dist = sample_cycle_configuration(config, replica)
-            for s, xi in dist.multiplicities.items():
-                histogram[s] = histogram.get(s, 0) + s * xi
-            totals.append(dist.n_total)
+            xi = sample_cycle_configuration(config, replica)
+            for s, n in xi.items():
+                histogram[s] = histogram.get(s, 0) + s * n
+            totals.append(sum(s * n for s, n in xi.items()))
         assert histogram == report.histogram
         assert sum(totals) / config.replicas == report.estimates["photon_number"]["mean"]
 
@@ -109,8 +108,8 @@ class TestDeterminism:
     def test_replica_order_independence(self):
         # replica draws depend only on (seed, replica), not on history
         config = SampleConfig(seed=11, replicas=3, s_max=8, state=ThermoState(1.0, 30.0))
-        direct = [sample_cycle_configuration(config, replica=r).multiplicities for r in (0, 1, 2)]
-        reversed_order = {r: sample_cycle_configuration(config, replica=r).multiplicities for r in (2, 1, 0)}
+        direct = [sample_cycle_configuration(config, replica=r) for r in (0, 1, 2)]
+        reversed_order = {r: sample_cycle_configuration(config, replica=r) for r in (2, 1, 0)}
         for r in (0, 1, 2):
             assert direct[r] == reversed_order[r]
 
@@ -118,28 +117,27 @@ class TestDeterminism:
 class TestCycleConfiguration:
     def test_distribution_satisfies_constraint(self):
         config = SampleConfig(seed=5, replicas=1, s_max=30, state=ThermoState(1.0, 200.0))
-        dist = sample_cycle_configuration(config)
-        assert sum(s * xi for s, xi in dist.multiplicities.items()) == dist.n_total
-        assert dist.n_total > 0
+        xi = sample_cycle_configuration(config)
+        assert all(s >= 1 and n >= 1 for s, n in xi.items())
+        assert sum(s * n for s, n in xi.items()) > 0
 
     def test_negligible_volume_gives_empty_system(self):
         config = SampleConfig(seed=5, replicas=1, s_max=50, state=ThermoState(1.0, 1e-300))
-        dist = sample_cycle_configuration(config)
-        assert dist.multiplicities == {} and dist.n_total == 0
+        assert sample_cycle_configuration(config) == {}
 
     def test_poisson_mean_of_single_cycles(self):
         state = ThermoState(1.0, 10.0)
         config = SampleConfig(seed=7, replicas=1, s_max=4, state=state)
         lam = state.volume * TWO_OVER_PI_SQUARED
         draws = np.array(
-            [sample_cycle_configuration(config, replica=r).multiplicities.get(1, 0) for r in range(800)]
+            [sample_cycle_configuration(config, replica=r).get(1, 0) for r in range(800)]
         )
         se = math.sqrt(lam / draws.size)
         assert abs(draws.mean() - lam) <= 5.0 * se
 
     def test_mean_counts_follow_inverse_fourth_power(self):
         config = SampleConfig(seed=0, replicas=1, s_max=10, state=ThermoState(1.0, 3.0))
-        lam = cycle_mean_counts(config)
+        lam = _photon_cycle_means(config.state, config.s_max)
         assert rel(lam[0], 3.0 * TWO_OVER_PI_SQUARED) <= 1e-15
         for s in range(1, 11):
             assert rel(lam[s - 1] * s**4, lam[0]) <= 1e-13
@@ -149,8 +147,8 @@ class TestCycleConfiguration:
 def replica_draws():
     # about 2.2 cycles per replica, so about one replica in nine draws none
     config = SampleConfig(seed=2718, replicas=6000, s_max=20, state=ThermoState(1.3, 4.55))
-    lam = cycle_mean_counts(config)
-    draws = [_draw_replica(config, r, lam) for r in range(config.replicas)]
+    lam = _photon_cycle_means(config.state, config.s_max)
+    draws = [_draw(stream(config.seed, r), lam, config.state.temperature) for r in range(config.replicas)]
     counts = np.array([xi.sum() for xi, _energy in draws])
     energies = np.array([energy for _xi, energy in draws])
     return config.state.temperature, counts, energies
@@ -182,7 +180,8 @@ class TestCycleEnergy:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        target = 3.0 * config.state.temperature * float(np.sum(cycle_mean_counts(config)))
+        lam = _photon_cycle_means(config.state, config.s_max)
+        target = 3.0 * config.state.temperature * float(np.sum(lam))
         est = report.estimates["total_energy"]
         assert abs(est["mean"] - target) <= 5.0 * est["se"]
 
@@ -214,7 +213,7 @@ class TestEstimates:
 
     def test_photon_number_brackets_analytic(self, report):
         rep, state = report
-        lam = cycle_mean_counts(SampleConfig(seed=0, replicas=1, s_max=50, state=state))
+        lam = _photon_cycle_means(state, 50)
         target = float(np.sum(lam * np.arange(1, 51)))
         est = rep.estimates["photon_number"]
         assert abs(est["mean"] - target) <= 5.0 * est["se"]
@@ -246,8 +245,8 @@ class TestEstimates:
 
     def test_histogram_chi_square_against_expected_cycles(self, report):
         rep, state = report
-        replicas = rep.n_replicas
-        lam = cycle_mean_counts(SampleConfig(seed=0, replicas=1, s_max=50, state=state))
+        replicas = rep.config["replicas"]
+        lam = _photon_cycle_means(state, 50)
         chi2 = 0.0
         bins = 0
         for s in range(1, 9):
@@ -323,7 +322,8 @@ class TestConfigValidation:
         # photon totals over all replicas do not wrap
         config = SampleConfig(seed=3, replicas=2, s_max=4, state=ThermoState(1.0, SAMPLE_SIZE_LIMIT / 2))
         report = estimate_observables(config)
-        expected = config.replicas * float(np.sum(cycle_mean_counts(config) * np.arange(1, 5)))
+        lam = _photon_cycle_means(config.state, config.s_max)
+        expected = config.replicas * float(np.sum(lam * np.arange(1, 5)))
         assert len(report.histogram) == 4
         assert rel(sum(report.histogram.values()), expected) <= 1e-6
         assert rel(report.estimates["photon_number"]["mean"], expected / config.replicas) <= 1e-6
