@@ -295,7 +295,7 @@ def _verify_checks(seed: int):
     checks.append(("grand product vs cycle form", dev_grand <= 1e-10, f"max rel dev {dev_grand:.2e}"))
 
     dev = 0.0
-    for z in (0.1, 0.5, 0.9, 1.0):
+    for z in (0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12, 1.0):
         state = ThermoState(1.37, 1.0, z)
         a = partition.bose_number_density_cycle(state, mass=2.0 * math.pi)
         b = partition.bose_number_density_integral(state, mass=2.0 * math.pi)

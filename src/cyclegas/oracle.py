@@ -34,6 +34,12 @@ def _require_beta(beta: float) -> None:
         raise DomainError(f"beta must be finite and > 0, got {beta}")
 
 
+def _require_fugacity(z: float) -> None:
+    """The fugacity z must be >= 0; a NaN is refused too."""
+    if not z >= 0.0:
+        raise DomainError(f"fugacity must be >= 0, got {z}")
+
+
 @dataclass(frozen=True)
 class ModeSpectrum:
     """Finite list of single-particle energies with integer degeneracies."""
@@ -114,6 +120,7 @@ def load_spectrum(path) -> ModeSpectrum:
 def grand_partition_product(spectrum: ModeSpectrum, z: float, beta: float) -> float:
     """Textbook mode product prod_j (1 - z e^{-beta e_j})^(-g_j), exact."""
     _require_beta(beta)
+    _require_fugacity(z)
     occupancies = z * np.exp(-beta * spectrum.expanded_energies())
     if np.any(occupancies >= 1.0):
         raise DomainError(
@@ -134,8 +141,7 @@ def grand_partition_cycle(spectrum: ModeSpectrum, z: float, beta: float) -> floa
     the geometric tail bound drops below 1e-13 of it.
     """
     _require_beta(beta)
-    if not z >= 0.0:
-        raise DomainError(f"fugacity must be >= 0, got {z}")
+    _require_fugacity(z)
     g = spectrum.degeneracies.astype(float)
     # z^s C_s = sum_j g_j q_j^s with q_j = z e^{-beta e_j}, every q_j below 1
     q_modes = z * np.exp(-beta * spectrum.energies)

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -70,6 +71,30 @@ class TestPolylog:
         oracle = sum(0.99**s / s**2.5 for s in range(1, 20000))
         assert rel(polylog(2.5, 0.99), oracle) <= 1e-10
 
+    # alpha = -ln z on both sides of core.POLYLOG_SEAM = 1, and up to z = 1 - 1e-15
+    SEAM_FUGACITIES = [
+        1e-3, 0.2, math.exp(-1.01), math.exp(-0.99), 0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-10, 1 - 1e-15,
+    ]
+
+    # the last six orders sit near an integer, where Gamma(1 - r) and zeta(r - k) have poles
+    @pytest.mark.parametrize(
+        "r", [-1.5, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0, 1 + 1e-12, 2 - 1e-9, 2 + 1e-10, 3 + 1e-14, 2.25, 0.9]
+    )
+    def test_against_mpmath_across_the_seam(self, r):
+        with mpmath.workdps(40):
+            for z in self.SEAM_FUGACITIES:
+                assert rel(polylog(r, z), mpmath.polylog(r, mpmath.mpf(z))) <= 1e-14, z
+
+    @pytest.mark.parametrize("z", [1e-300, 0.3, math.exp(-0.99), 0.5, 0.9, 1 - 1e-8, 1 - 1e-15])
+    def test_order_one_is_minus_log1p(self, z):
+        assert rel(polylog(1.0, z), -math.log1p(-z)) <= 1e-15
+
+    def test_series_cache_stays_bounded(self):
+        for r in np.linspace(1.1, 9.9, 40):
+            polylog(float(r), 0.95)
+        info = core._robinson.cache_info()
+        assert info.currsize <= info.maxsize == 8
+
     def test_domain(self):
         with pytest.raises(DomainError):
             polylog(1.5, 1.2)
@@ -79,6 +104,30 @@ class TestPolylog:
             polylog(1.0, 1.0)
         with pytest.raises(DomainError):
             polylog(0.5, 1.0)
+
+
+class TestZetaContinuation:
+    """core._zeta, the zeta function below s = 1 that Robinson's series reads."""
+
+    # at ten terms the pole term of the closing is ~9 at s = 0.1: 2 ulps of it
+    @pytest.mark.parametrize("s", [0.5, 0.1, -0.5, -1.5, -10.5, 0.999, 2.5])
+    def test_against_mpmath(self, s):
+        with mpmath.workdps(40):
+            assert rel(core._zeta(s), mpmath.zeta(s)) <= 2e-15
+
+    def test_zero_and_trivial_zero(self):
+        assert core._zeta(0.0) == -0.5
+        # zeta(-2) = 0; the reflection's sine of -pi rounds to 1.2e-16
+        assert abs(core._zeta(-2.0)) <= 1e-17
+
+    def test_midpoint_divisors_from_bernoulli_numbers(self):
+        for j, divisor in enumerate(core._MIDPOINT_EM, 1):
+            numerator, denominator = mpmath.bernfrac(2 * j)
+            exact = math.factorial(2 * j) / ((1 - Fraction(2, 4**j)) * Fraction(numerator, denominator))
+            assert divisor == float(exact)
+
+    def test_euler_gamma(self):
+        assert core._EULER_GAMMA == float(mpmath.euler)
 
 
 class TestBoseIntegral:

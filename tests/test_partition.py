@@ -347,6 +347,14 @@ class TestBoseNumberDensity:
         integral = bose_number_density_integral(state, 3.1)
         assert rel(cycle, integral) <= 1e-8
 
+    def test_near_saturation_against_mpmath(self):
+        # z = 1 - 1e-6 is where the direct polylog series used to give up
+        from bench import refs
+
+        state = ThermoState(1.2, fugacity=1.0 - 1e-6)
+        want = float(refs.bose_density(1.2, 2.0 * math.pi, 1.0 - 1e-6))  # 30 digits, rounded once
+        assert rel(bose_number_density_cycle(state, 2.0 * math.pi), want) <= 1e-14
+
     def test_mass_validation(self):
         with pytest.raises(DomainError):
             bose_number_density_cycle(ThermoState(1.0), -1.0)
