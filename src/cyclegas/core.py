@@ -189,8 +189,6 @@ class UnitsPolicy:
 # Special functions
 # ---------------------------------------------------------------------------
 
-_ZETA_TRUNCATIONS = (256, 1024)
-_ZETA_REL_TOL = 1e-13
 # Divisors of the Euler-Maclaurin corrections of the midpoint rule,
 # (2j)! / ((1 - 2**(1 - 2j)) B_2j) for j = 1..10, B_2j the Bernoulli numbers.
 _MIDPOINT_EM = (
@@ -218,26 +216,26 @@ QUAD_T_MAX = 4
 QUAD_MAX_LEVEL = 8
 
 
-def _zeta_closing(x: float, n_terms: int, corrections: int, regular: bool = False) -> float:
-    """zeta(1 + x), x != 0, as the partial sum over s <= n_terms closed by the
-    integral of s**-(1 + x) from m = n_terms + 1/2 to infinity (the midpoint-rule
-    image of the tail) and up to `corrections` Euler-Maclaurin terms of that
-    rule, stopping at the first one below 1e-17 of the value.
+def _zeta_closing(x: float, regular: bool = False) -> float:
+    """zeta(1 + x), x != 0, as the partial sum over s <= 10 closed by the
+    integral of s**-(1 + x) from m = 10.5 to infinity (the midpoint-rule image
+    of the tail) and up to ten Euler-Maclaurin terms of that rule, stopping
+    at the first one below 1e-17 of the value.
 
     The pole distance x is taken as given, so the pole term m**-x / x keeps full
     relative accuracy next to s = 1.  With regular=True the pole 1/x is left
     out: the result is zeta(1 + x) - 1/x, which is Euler's constant at x = 0.
     """
     r = 1.0 + x
-    m = n_terms + 0.5
+    m = 10.5
     if not regular:
         pole = m**-x / x
     else:
         pole = math.expm1(-x * math.log(m)) / x if x else -math.log(m)
     term = r / _MIDPOINT_EM[0] * m ** (-r - 1.0)
-    value = float(np.sum(np.arange(1.0, n_terms + 1.0) ** -r)) + pole - term
+    value = math.fsum(s**-r for s in range(1, 11)) + pole - term
     rising = r  # the rising factorial r (r + 1) ... (r + 2j)
-    for j in range(1, corrections):
+    for j in range(1, len(_MIDPOINT_EM)):
         if abs(term) <= 1e-17 * abs(value):
             break
         rising *= (r + 2 * j - 1) * (r + 2 * j)
@@ -247,42 +245,26 @@ def _zeta_closing(x: float, n_terms: int, corrections: int, regular: bool = Fals
 
 
 def riemann_zeta(r: float) -> float:
-    """Sum of s**(-r) over s >= 1 for r > 1, relative error below 1e-12.
-
-    A direct partial sum over s <= S is closed with the integral of x**(-r)
-    from S + 1/2 to infinity (the midpoint-rule image of the tail) plus the
-    first Euler-Maclaurin correction.  The remainder after both corrections
-    is bounded by ~ r(r+1)(r+2) * (S + 1/2)**(-(r+3)); S grows until that
-    bound drops below 1e-13 of the running value, which happens by S = 1024
-    for every r above the domain cutoff: there the bound is below
-    0.06 * 1024.5**-4 ~ 5.4e-14 and shrinks as r grows, while zeta(r) > 1.
-    """
+    """Sum of s**(-r) over s >= 1 for finite r > 1 + 1e-9, by _zeta's closing."""
     if not 1.0 + 1e-9 < r < math.inf:
         raise DomainError(f"zeta series needs a finite r > 1 (got r = {r})")
-    value = math.inf
-    for n_terms in _ZETA_TRUNCATIONS:
-        value = _zeta_closing(r - 1.0, n_terms, 1)
-        m = n_terms + 0.5
-        remainder_bound = 0.01 * r * (r + 1.0) * (r + 2.0) * m ** (-r - 3.0)
-        if remainder_bound <= _ZETA_REL_TOL * value:
-            return value
-    return value
+    return _zeta(r)
 
 
 def _zeta(s: float) -> float:
     """zeta(s) for every finite s != 1, continued below s = 1 for Robinson's series.
 
-    From s = 0 on, _zeta_closing at ten terms with ten corrections (within
-    ~1e-18 before rounding; zeta(0) = -1/2 comes out exactly).  Below 0 the
-    reflection formula zeta(s) = 2 (2 pi)**(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s),
+    From s = 0 on, _zeta_closing (within ~1e-18 before rounding; zeta(0) = -1/2
+    comes out exactly).  Below 0 the reflection formula
+    zeta(s) = 2 (2 pi)**(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s),
     with the pole distance -s of zeta(1 - s) passed exactly.
     """
     if s < 0.0:
         # s mod 4 is exact, so the sine's argument carries no rounding from |s|
         sine = math.sin(0.5 * math.pi * math.fmod(s, 4.0))
         prefactor = 2.0 * (2.0 * math.pi) ** (s - 1.0) * sine * math.gamma(1.0 - s)
-        return prefactor * _zeta_closing(-s, 10, 10)
-    return _zeta_closing(s - 1.0, 10, 10)
+        return prefactor * _zeta_closing(-s)
+    return _zeta_closing(s - 1.0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -319,7 +301,7 @@ def _robinson(r: float):
         return coefficients, lambda alpha: gamma * alpha ** (r - 1.0)
     if k0 >= len(coefficients):  # (-alpha)**k0 / k0! is below the tolerance
         return coefficients, lambda alpha: 0.0
-    eta = _zeta_closing(delta, 10, 10, regular=True)
+    eta = _zeta_closing(delta, regular=True)
     # ln Gamma(1 - delta) / delta = gamma + sum_i zeta(i) delta**(i-1) / i; at |delta| < 1/4
     # the terms past i = 29 are below 3e-19
     log_gamma = _EULER_GAMMA + sum(_zeta(i) * delta ** (i - 1) / i for i in range(2, 30))
@@ -370,8 +352,6 @@ def polylog(r: float, z: float) -> float:
     if z == 0.0:
         return 0.0
     if z == 1.0:
-        if not r > 1.0 + 1e-9:
-            raise DomainError(f"polylog diverges at z = 1 for r <= 1 (got r = {r})")
         return riemann_zeta(r)
     alpha = -math.log(z)
     if alpha >= POLYLOG_SEAM:

@@ -127,7 +127,8 @@ def grand_partition_product(spectrum: ModeSpectrum, z: float, beta: float) -> fl
             "grand partition diverges: z * exp(-beta * e_min) must be < 1"
         )
     result = 1.0
-    for q in occupancies:
+    # Python floats overflow to inf without a numpy warning; the gate refuses the inf
+    for q in map(float, occupancies):
         result *= 1.0 / (1.0 - q)
     return result
 

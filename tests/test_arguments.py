@@ -247,6 +247,7 @@ OVERFLOWING_CALLS = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("call", OVERFLOWING_CALLS.values(), ids=OVERFLOWING_CALLS.keys())
 def test_overflow_is_a_size_error(call):
     with pytest.raises(SizeError):

@@ -45,6 +45,16 @@ class TestRiemannZeta:
     def test_against_scipy_reference(self, r):
         assert rel(riemann_zeta(r), float(scipy.special.zeta(r))) <= 1e-12
 
+    # from next to the pole, where zeta(1 + 2e-9) ~ 5e8, to where zeta - 1 is below an ulp
+    @pytest.mark.parametrize(
+        "r",
+        [1.0 + 2e-9, 1.0 + 1e-6, 1.001, 1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0,
+         6.0, 7.5, 9.0, 12.0, 15.0, 20.0, 30.0, 50.0, 100.0, 1e3, 1e6],
+    )
+    def test_against_mpmath(self, r):
+        with mpmath.workdps(40):
+            assert rel(riemann_zeta(r), mpmath.zeta(r)) <= 1e-15
+
     @pytest.mark.parametrize("r", [1.0, 0.5, -2.0, 1.0 + 1e-10])
     def test_domain(self, r):
         with pytest.raises(DomainError):
@@ -102,6 +112,8 @@ class TestPolylog:
             polylog(1.5, -0.1)
         with pytest.raises(DomainError):
             polylog(1.0, 1.0)
+        with pytest.raises(DomainError):
+            polylog(1.0 + 1e-10, 1.0)
         with pytest.raises(DomainError):
             polylog(0.5, 1.0)
 
