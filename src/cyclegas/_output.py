@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
+import numbers
 
 
 def dumps(obj) -> str:
@@ -16,8 +16,8 @@ def dumps(obj) -> str:
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):  # int and the numpy integers
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):  # float and the numpy floats
         return f"{float(obj):.9g}"
     raise TypeError(f"cannot serialize {type(obj)!r}")

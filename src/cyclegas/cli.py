@@ -6,6 +6,10 @@ in $CYCLEGAS_OUTPUT_DIR when that is set.  In --units si all inputs are SI
 (kelvin, m^3, Hz, kg) and all outputs are SI (J, m^-3, J m^-3 Hz^-1);
 conversion happens only at this boundary.
 
+Only the commands that build arrays import numpy, on demand: partition,
+fluctuations, sample and verify.  weights, spectrum and density compute
+scalars and run without it.
+
 Exit codes: 0 success, 2 usage error (a flag the command does not read,
 flags that do not go together, such as --mass without --dispersion
 massive, or values whose result leaves double range), 1 computational
@@ -22,9 +26,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-from . import observables, oracle, partition, sampler
+from . import observables, partition
 from ._output import dumps
 from .core import (
     ConvergenceError,
@@ -147,6 +149,8 @@ def cmd_partition(args, units: UnitsPolicy) -> str:
     if args.spectrum_file:
         if args.n_max is None or args.s_max is not None or args.volume is not None:
             raise DomainError("--spectrum-file takes --n-max, and neither --s-max nor --volume")
+        from . import oracle
+
         spectrum = oracle.load_spectrum(args.spectrum_file)
         sums = spectrum.cycle_sums(state.beta, max(args.n_max, 1))
         table = partition.canonical_partition_table(sums, args.n_max)
@@ -164,12 +168,21 @@ def cmd_partition(args, units: UnitsPolicy) -> str:
     return _table_text(("s", "f_s", "log_z_partial", "log_z_integral"), rows, args.format)
 
 
+def _linspace(start: float, stop: float, num: int) -> list:
+    """np.linspace(start, stop, num).tolist() for num >= 2, bit for bit:
+    start + i * step, with the last point set to stop."""
+    step = (stop - start) / (num - 1)
+    if step == 0.0:  # as numpy does when the step underflows
+        return [start + i / (num - 1) * (stop - start) for i in range(num - 1)] + [stop]
+    return [start + i * step for i in range(num - 1)] + [stop]
+
+
 def cmd_spectrum(args, units: UnitsPolicy) -> str:
     state = _state(args, units)
     if not (0 < args.x_min < args.x_max) or args.points < 2:
         raise DomainError("need 0 < --x-min < --x-max and --points >= 2")
     rows = []
-    for x in np.linspace(args.x_min, args.x_max, args.points).tolist():  # floats: nu**3 raises
+    for x in _linspace(args.x_min, args.x_max, args.points):  # floats: nu**3 raises
         nu = x * state.temperature / (2.0 * math.pi)
         u = observables.planck_spectral_density(state, nu)
         planck_x = x**3 * observables._planck_occupation(x)
@@ -222,6 +235,8 @@ def cmd_density(args, units: UnitsPolicy) -> str:
 
 
 def cmd_sample(args, units: UnitsPolicy) -> str:
+    from . import sampler
+
     state = _state(args, units)
     config = sampler.SampleConfig(
         seed=args.seed, replicas=args.replicas, s_max=args.s_max, state=state
@@ -236,6 +251,10 @@ def cmd_sample(args, units: UnitsPolicy) -> str:
 
 
 def _verify_checks(seed: int):
+    import numpy as np
+
+    from . import oracle
+
     rng = np.random.default_rng(seed)
     checks = []
 

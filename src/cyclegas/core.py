@@ -13,9 +13,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 # 2019 SI defining constants (h, c, k_B exact; hbar = h / 2 pi so that
 # photon-energy ratios stay consistent to machine precision).
@@ -60,17 +60,28 @@ def _all_finite(result) -> bool:
         return math.isfinite(result)
     if isinstance(result, tuple):
         return all(map(_all_finite, result))
+    # only a module that has imported numpy can return an ndarray
+    np = sys.modules.get("numpy")
+    if np is None or not isinstance(result, np.ndarray):
+        return True
     # on short arrays count_nonzero takes half the time of .all()
-    return not isinstance(result, np.ndarray) or np.count_nonzero(np.isfinite(result)) == result.size
+    return np.count_nonzero(np.isfinite(result)) == result.size
 
 
 def _require_integer(name: str, value, minimum: int) -> int:
-    """value as an int >= minimum; bools and non-integral numbers raise DomainError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """value as an int >= minimum; bools and non-integral numbers raise DomainError.
+
+    operator.index takes int and the numpy integers, and refuses floats,
+    numpy floats and numpy bools."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if index < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
+    return index
 
 
 def _require_photon_fugacity(state: ThermoState) -> None:
@@ -260,18 +271,26 @@ def _zeta(s: float) -> float:
     with the pole distance -s of zeta(1 - s) passed exactly.
     """
     if s < 0.0:
-        # s mod 4 is exact, so the sine's argument carries no rounding from |s|
-        sine = math.sin(0.5 * math.pi * math.fmod(s, 4.0))
-        prefactor = 2.0 * (2.0 * math.pi) ** (s - 1.0) * sine * math.gamma(1.0 - s)
-        return prefactor * _zeta_closing(-s)
+        return _reflected_zeta(s, math.gamma(1.0 - s))
     return _zeta_closing(s - 1.0)
+
+
+def _reflected_zeta(s: float, gamma: float) -> float:
+    """The reflection formula for s < 0 with gamma in place of Gamma(1 - s), so a
+    caller can pass Gamma(1 - s) divided by a scale of its own."""
+    # s mod 4 is exact, so the sine's argument carries no rounding from |s|
+    sine = math.sin(0.5 * math.pi * math.fmod(s, 4.0))
+    prefactor = 2.0 * (2.0 * math.pi) ** (s - 1.0) * sine * gamma
+    return prefactor * _zeta_closing(-s)
 
 
 @functools.lru_cache(maxsize=8)
 def _robinson(r: float):
     """Robinson's series (Phys. Rev. 83, 678 (1951)) for alpha < POLYLOG_SEAM,
     g_r(e**-alpha) = Gamma(1-r) alpha**(r-1) + sum_k zeta(r-k) (-alpha)**k / k!,
-    as (coefficients, singular): g = sum_k coefficients[k] alpha**k + singular(alpha).
+    as (scale, coefficients, singular):
+    g = scale * (sum_k coefficients[k] alpha**k + singular(alpha)), with scale 1
+    for r >= 0 and Gamma(1 - r) for r < 0 (see _robinson_negative).
 
     For r within 1/4 of an integer n >= 1, Gamma(1-r) and the k0 = n-1 term
     zeta(1 + delta), delta = r - n, both have a pole at delta = 0, so they
@@ -282,25 +301,26 @@ def _robinson(r: float):
     cancels near it.
 
     The coefficients stop at the first two in a row below _SERIES_REL_TOL of
-    a lower bound of g, once k is past -2r, where |zeta(r-k)| / k! no longer
-    grows; no term exceeds its coefficient, since alpha < 1.
+    a lower bound of g / scale, once k is past -2r, where |zeta(r-k)| / k! no
+    longer grows; no term exceeds its coefficient, since alpha < 1.
     """
+    if r < 0.0:
+        return _robinson_negative(r)
     n = round(r)
     delta = r - n
     k0 = n - 1 if n >= 1 and abs(delta) < 0.25 else -1
-    g_min = math.exp(-POLYLOG_SEAM) if r >= 0.0 else 0.5 * math.gamma(1.0 - r)
+    g_min = math.exp(-POLYLOG_SEAM)
     coefficients = []
     for k in itertools.count():
         coefficients.append(0.0 if k == k0 else (-1) ** k * _zeta(r - k) / math.factorial(k))
-        last_two = abs(coefficients[-2]) + abs(coefficients[-1]) if k else math.inf
-        if k > -2.0 * r and last_two <= _SERIES_REL_TOL * g_min:
+        if _robinson_done(coefficients, r, g_min):
             break
     coefficients = tuple(coefficients)
     if k0 < 0:
         gamma = math.gamma(1.0 - r)
-        return coefficients, lambda alpha: gamma * alpha ** (r - 1.0)
+        return 1.0, coefficients, lambda alpha: gamma * alpha ** (r - 1.0)
     if k0 >= len(coefficients):  # (-alpha)**k0 / k0! is below the tolerance
-        return coefficients, lambda alpha: 0.0
+        return 1.0, coefficients, lambda alpha: 0.0
     eta = _zeta_closing(delta, regular=True)
     # ln Gamma(1 - delta) / delta = gamma + sum_i zeta(i) delta**(i-1) / i; at |delta| < 1/4
     # the terms past i = 29 are below 3e-19
@@ -316,7 +336,36 @@ def _robinson(r: float):
         y = delta * log_term
         return weight * alpha**k0 * (eta - log_term * (math.expm1(y) / y if y else 1.0))
 
-    return coefficients, singular
+    return 1.0, coefficients, singular
+
+
+def _robinson_negative(r: float):
+    """_robinson at r < 0, with every term divided by scale = Gamma(1 - r).
+
+    zeta(r - k) / k! grows as Gamma(1 - r + k) / k! and leaves double range
+    from r ~ -57 on, where g_r is still a double.  Divided by Gamma(1 - r), the
+    reflection formula takes Gamma(1 - r + k) / (k! Gamma(1 - r)) =
+    prod_{j <= k} (j - r) / j in place of Gamma(1 - r + k), and the singular
+    term is alpha**(r - 1).  Past r ~ -170.6, Gamma(1 - r) leaves double range,
+    and so does g_r, which exceeds it at alpha < 1.
+    """
+    scale = math.gamma(1.0 - r)
+    coefficients = []
+    rising = 1.0  # Gamma(1 - r + k) / (k! Gamma(1 - r))
+    for k in itertools.count():
+        coefficients.append((-1) ** k * _reflected_zeta(r - k, rising))
+        if _robinson_done(coefficients, r, 0.5):
+            break
+        rising *= (k + 1 - r) / (k + 1)
+    return scale, tuple(coefficients), lambda alpha: alpha ** (r - 1.0)
+
+
+def _robinson_done(coefficients, r: float, g_min: float) -> bool:
+    """True once the last two coefficients are below _SERIES_REL_TOL of g_min, a
+    lower bound of the scaled g, and k is past -2r."""
+    k = len(coefficients) - 1
+    last_two = abs(coefficients[-2]) + abs(coefficients[-1]) if k else math.inf
+    return k > -2.0 * r and last_two <= _SERIES_REL_TOL * g_min
 
 
 def _direct_terms(r: float, alpha: float) -> int:
@@ -342,8 +391,9 @@ def polylog(r: float, z: float) -> float:
     in as many terms as its geometric tail bound asks, and by Robinson's
     series in alpha below the seam, which holds every z up to 1 in the same
     ~20 terms.  Both are cut where the rest is below 1e-17 of the value; the
-    result is within a few 1e-15 for the orders the tests check.  At z = 1 it
-    reduces to the zeta function (requiring r > 1).
+    result is within a few 1e-15 for the orders the tests check, negative
+    orders down to r = -170 included; SizeError means the value leaves double
+    range.  At z = 1 it reduces to the zeta function (requiring r > 1).
     """
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"polylog requires 0 <= z <= 1, got z = {z}")
@@ -355,12 +405,16 @@ def polylog(r: float, z: float) -> float:
         return riemann_zeta(r)
     alpha = -math.log(z)
     if alpha >= POLYLOG_SEAM:
-        return math.fsum(z**s * s**-r for s in range(1, _direct_terms(r, alpha) + 1))
-    coefficients, singular = _robinson(r)
+        n = _direct_terms(r, alpha)
+        if r >= 0.0:
+            return math.fsum(z**s * s**-r for s in range(1, n + 1))
+        # s**-r leaves double range before the terms do; their square roots stay in it
+        return math.fsum((z ** (0.5 * s) * s ** (-0.5 * r)) ** 2 for s in range(1, n + 1))
+    scale, coefficients, singular = _robinson(r)
     value = 0.0
     for c in reversed(coefficients):
         value = value * alpha + c
-    return value + singular(alpha)
+    return scale * (value + singular(alpha))
 
 
 def _exp_sinh(integrand, rtol: float) -> tuple[float, float]:

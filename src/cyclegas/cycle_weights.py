@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import DomainError, ThermoState
 from .core import _finite, _quad, _require_integer, _require_photon_fugacity
 
@@ -36,6 +34,8 @@ def _photon_prefactor(temperature, volume=1.0):
 
 def _photon_cycle_means(state: ThermoState, s_max: int) -> np.ndarray:
     """lambda_s = V f_s / s, the mean number of s-cycles, for s = 1..s_max."""
+    import numpy as np
+
     s = np.arange(1, s_max + 1, dtype=float)
     return _photon_prefactor(state.temperature, state.volume) / s**4
 
@@ -91,6 +91,8 @@ def decay_comparison(s_max: int) -> np.ndarray:
 
     The photon column falls as s**-3 and the matter column as s**-3/2.
     """
+    import numpy as np
+
     s_max = _require_integer("s_max", s_max, 2)
     state = ThermoState(temperature=1.0)
     f1 = photon_cycle_weight(state, 1)

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
-import numpy as np
-
 from .core import ConvergenceError, DomainError, SizeError, ThermoState, bose_integral, polylog
 from .core import _finite, _quad, _require_integer, _require_photon_fugacity
 from .cycle_weights import _photon_cycle_means, _photon_prefactor, matter_cycle_weight
@@ -53,6 +51,8 @@ class CycleSumSequence:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise DomainError("cycle sums must form a nonempty 1-d sequence")
@@ -71,6 +71,8 @@ class CycleSumSequence:
 
     @classmethod
     def from_photon_gas(cls, state: ThermoState, s_max: int) -> "CycleSumSequence":
+        import numpy as np
+
         _require_photon_fugacity(state)
         s = np.arange(1, _require_integer("s_max", s_max, 1) + 1, dtype=float)
         return cls(values=_photon_prefactor(state.temperature, state.volume) / s**3)
@@ -92,6 +94,8 @@ def tail_bracket(s_max: int, power: float):
 
 def _closed_power_sum(s_max: int, power: float) -> float:
     """sum_{s >= 1} s**(-power): the terms up to s_max plus the midpoint of tail_bracket."""
+    import numpy as np
+
     lo, hi = tail_bracket(s_max, power)
     s = np.arange(1, s_max + 1, dtype=float)
     return float(np.sum(s ** (-power))) + 0.5 * (lo + hi)
@@ -129,7 +133,7 @@ def log_grand_partition_product_form(state: ThermoState, s_max: int) -> np.ndarr
     sum_xi lambda**xi / xi! = exp(lambda), is checked in Tier-1.
     """
     _require_photon_fugacity(state)
-    return np.cumsum(_photon_cycle_means(state, _require_integer("s_max", s_max, 1)))
+    return _photon_cycle_means(state, _require_integer("s_max", s_max, 1)).cumsum()
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True must reach the check, not a cached np.int64(1)
@@ -174,6 +178,8 @@ def _canonical_recursion(C: CycleSumSequence):
     Each Z_n is computed as soon as it is asked for, so a caller that stops
     early pays only for the terms it used.
     """
+    import numpy as np
+
     c = C.values
     top = c.size
     reversed_z = np.empty(top + 1)  # reversed_z[top - j] holds Z_j / 2**shift
@@ -197,6 +203,8 @@ def _canonical_recursion(C: CycleSumSequence):
 @_finite
 def canonical_partition_table(C: CycleSumSequence, N: int) -> np.ndarray:
     """Array of Z_0, Z_1, ..., Z_N from the cycle-sum recursion."""
+    import numpy as np
+
     N = _require_integer("particle number N", N, 0)
     if N > 0 and C.s_max < N:
         raise DomainError(f"need cycle sums up to s = {N}, have s_max = {C.s_max}")

@@ -101,6 +101,8 @@ REFUSED_CALLS = {
     "photon weight s True": lambda: cg.photon_cycle_weight(T1, True),
     "bose_integral True": lambda: cg.bose_integral(True),
     "table N 3.0": lambda: cg.canonical_partition_table(SUMS, 3.0),
+    "table N np.float64(3.0)": lambda: cg.canonical_partition_table(SUMS, np.float64(3.0)),
+    "photon weight s np.bool_(True)": lambda: cg.photon_cycle_weight(T1, np.bool_(True)),
     "occupation N 2.0": lambda: cg.canonical_by_occupation(SPECTRUM, 2.0, 1.0),
     "decay s_max 4.0": lambda: cg.decay_comparison(4.0),
     "cycle_types -1": lambda: cg.cycle_types(-1),

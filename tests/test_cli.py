@@ -3,9 +3,11 @@ import math
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from cyclegas import cli, core, partition
+from cyclegas._output import dumps
 from cyclegas.core import HBAR_SI, KB_SI, C_SI, ThermoState
 from cyclegas.observables import photon_number_density
 
@@ -127,6 +129,17 @@ class TestSpectrumCommand:
         assert code == 0
         last = out.strip().split("\n")[-1]
         assert [float(v) for v in last.split(",")[1:]] == [0.0, 800.0, 0.0]
+
+    def test_grid_is_numpys_linspace(self):
+        rng = np.random.default_rng(22)
+        # the first two have a step below the smallest subnormal, where numpy rescales
+        cases = [(5e-324, 1e-323, 4), (1e-322, 2e-322, 100)]
+        for _ in range(2000):
+            x_min = float(10.0 ** rng.uniform(-3.0, 2.0))
+            cases.append((x_min, x_min + float(10.0 ** rng.uniform(-6.0, 3.0)), int(rng.integers(2, 301))))
+        for x_min, x_max, points in cases:
+            grid = [x.hex() for x in cli._linspace(x_min, x_max, points)]
+            assert grid == [x.hex() for x in np.linspace(x_min, x_max, points).tolist()]
 
     def test_grid_validation(self, capsys):
         code, _, err = run(capsys, ["spectrum", "--x-min", "5", "--x-max", "1"])
@@ -281,6 +294,16 @@ class TestOutputHandling:
         code, _, _ = run(capsys, ["density", "--output", "report.json"])
         assert code == 0
         assert (tmp_path / "report.json").exists()
+
+    def test_numpy_scalars_print_as_python_numbers(self):
+        values = [np.int64(-7), np.uint64(2**64 - 1), np.float32(0.1), np.float64(1 / 3),
+                  np.float64(2.5e-300), np.float32(3e38), 5, 1e100, True]
+        assert dumps({"a": values}) == (
+            '{"a":[-7,18446744073709551615,0.100000001,0.333333333,2.5e-300,3.00000001e+38,5,1e+100,true]}'
+        )
+        for value in (np.bool_(True), np.complex128(1.0), None):
+            with pytest.raises(TypeError):
+                dumps(value)
 
     def test_nine_significant_digits(self, capsys):
         code, out, _ = run(capsys, ["weights", "--s-max", "1"])

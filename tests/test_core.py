@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -99,6 +100,26 @@ class TestPolylog:
     def test_order_one_is_minus_log1p(self, z):
         assert rel(polylog(1.0, z), -math.log1p(-z)) <= 1e-15
 
+    # Robinson's coefficients zeta(r - k) / k! leave double range from r ~ -57 on, and
+    # the direct terms' s**-r from r ~ -110 on at z = 0.3, where g_r is still a double
+    @pytest.mark.parametrize("r", [-10.0, -30.0, -55.0, -60.0, -80.0, -100.0, -150.0])
+    def test_negative_orders_against_mpmath(self, r):
+        with mpmath.workdps(30):
+            for z in (0.3, 0.5, 0.9, 0.99):
+                exact = mpmath.polylog(r, mpmath.mpf(z))
+                if exact > sys.float_info.max:
+                    with pytest.raises(SizeError):
+                        polylog(r, z)
+                else:
+                    assert rel(polylog(r, z), float(exact)) <= 1e-14, z
+
+    # z**2 underflows while z**2 2**-r is the largest term: 1e-300 + 2**1000 1e-600 + ...
+    @pytest.mark.parametrize("r, z", [(-1000.0, 1e-300), (-300.0, 1e-100), (-200.0, 1e-30)])
+    def test_negative_orders_at_tiny_z(self, r, z):
+        with mpmath.workdps(40):
+            exact = mpmath.fsum(mpmath.mpf(z) ** s * s ** int(-r) for s in range(1, 400))
+        assert rel(polylog(r, z), float(exact)) <= 1e-14
+
     def test_series_cache_stays_bounded(self):
         for r in np.linspace(1.1, 9.9, 40):
             polylog(float(r), 0.95)
@@ -191,6 +212,19 @@ QUADRATURE_GATES = {
         lambda: bose_number_density_integral(ThermoState(1.0, fugacity=0.5), 2.0 * math.pi), 1e-9
     ),
 }
+
+
+class TestGateAndIntegerCheck:
+    def test_ndarray_holding_inf_is_a_size_error(self):
+        gated = core._finite(lambda: np.array([1.0, np.inf]))
+        with pytest.raises(SizeError):
+            gated()
+        assert core._finite(lambda: np.array([1.0, 2.0]))().tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("value", [7, np.int64(7), np.uint64(7), np.int8(7)])
+    def test_numpy_integers_are_integers(self, value):
+        index = core._require_integer("n", value, 1)
+        assert index == 7 and type(index) is int
 
 
 class TestQuadratureGate:
